@@ -7,7 +7,7 @@
 //     that keep LGSIM_TRACE_ENABLED=1 but never install a sink);
 //   * allocation guard: the steady-state event loop and port datapath must
 //     perform exactly 0 heap allocations per event/frame, counted by the
-//     interposed global operator new below.
+//     interposed global allocator (tests/support/alloc_counter.h).
 //
 // Special modes (both bypass google-benchmark):
 //   --bench_json=<path>  measure the steady-state kernel metrics and write
@@ -22,13 +22,11 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
-#include <new>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -41,59 +39,11 @@
 #include "obs/trace.h"
 #include "sim/random.h"
 #include "sim/simulator.h"
-
-// ---------------------------------------------------------------------------
-// Interposed allocation counter. Replacing the global operator new is the
-// one observer that cannot be fooled: any heap traffic on a measured path
-// shows up here, whether it comes from std::function, a container growing,
-// or an allocator hidden behind a move. Counted relaxed — the bench is
-// single-threaded; the atomic only keeps the interposer well-defined if a
-// library thread ever allocates.
-static std::atomic<std::uint64_t> g_heap_allocs{0};
-
-// The interposer pairs malloc-backed operator new with free-backed delete —
-// internally consistent, but GCC's heuristic flags free() on a pointer it
-// watched come out of operator new.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-#endif
-
-void* operator new(std::size_t n) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n ? n : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void* operator new(std::size_t n, std::align_val_t al) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  void* p = nullptr;
-  if (posix_memalign(&p, static_cast<std::size_t>(al), n ? n : 1) != 0)
-    throw std::bad_alloc();
-  return p;
-}
-void* operator new[](std::size_t n, std::align_val_t al) {
-  return ::operator new(n, al);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
+#include "support/alloc_counter.h"
 
 namespace {
 
 using namespace lgsim;
-
-std::uint64_t heap_allocs() {
-  return g_heap_allocs.load(std::memory_order_relaxed);
-}
 
 double elapsed_ns(std::chrono::steady_clock::time_point t0,
                   std::chrono::steady_clock::time_point t1) {

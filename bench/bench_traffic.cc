@@ -12,31 +12,21 @@
 //   --bench_json=<path>  run the small-scale hybrid-vs-all-packet
 //                        differential and the in-process jobs=1 vs jobs=4
 //                        identity check, then both paper-scale scheme arms,
-//                        the intra-run sharding identity + scaling curve
-//                        (shards 1/2/4/8 on the CorrOpt+LG arm), and write
-//                        one BENCH_traffic.json trajectory object.
+//                        and write one BENCH_traffic.json trajectory object.
 //   --smoke=<baseline>   reduced ctest mode: baseline must be readable,
 //                        hybrid victim FCTs must be bit-identical to the
 //                        all-packet reference, the jobs=1/4 merge must be
-//                        bit-identical, the sharded run (shards=4, forced
-//                        2 workers) must be bit-identical to unsharded, and
-//                        CorrOpt+LG must beat CorrOpt-only on victim tail
-//                        FCT under a forced 1e-3 loss.
-//
-// --shards=N (or LGSIM_SHARDS; flag wins) runs every cell on the sharded
-// runtime (sim/shard.h) with N pod-block shards. Stdout and JSON metrics are
-// byte-identical for any shard count — only wall-clock lines change.
+//                        bit-identical, and CorrOpt+LG must beat
+//                        CorrOpt-only on victim tail FCT under a forced 1e-3
+//                        loss.
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <string_view>
 
 #include "bench_common.h"
 #include "traffic/engine.h"
-#include "util/cores.h"
-#include "util/env.h"
 #include "util/table.h"
 
 namespace {
@@ -44,17 +34,12 @@ namespace {
 using namespace lgsim;
 using namespace lgsim::traffic;
 
-/// --shards=N / LGSIM_SHARDS, applied to every engine run of the selected
-/// mode. 1 (the default) is the unsharded reference path.
-std::int32_t g_shards = 1;
-
 /// Victim-path replay knobs shared with the testbed FCT benches: the same
 /// bench::TrafficConfig that parameterizes bench_fig10/11/12 supplies the
 /// transport and link rate victim flows are driven with here.
 EngineConfig with_victim_path(EngineConfig c, const bench::TrafficConfig& tc) {
   c.transport = tc.transports.front();
   c.link_rate = tc.rate;
-  c.shards = g_shards;
   return c;
 }
 
@@ -201,25 +186,6 @@ int write_bench_json(const char* path) {
   std::fprintf(stderr, "wall: CorrOpt+LG %.3f s, CorrOpt %.3f s\n", lg.sec,
                co.sec);
 
-  // Intra-run sharding on the CorrOpt+LG paper arm: identity across shard
-  // counts (the contract) plus the jobs=1 scaling curve (the point of the
-  // runtime). Wall clocks are honest for THIS machine — `cores` records how
-  // many it had; on a single-core box the curve is flat by construction.
-  const std::int32_t curve_shards[] = {1, 2, 4, 8};
-  TimedRun shard_runs[4];
-  for (int i = 0; i < 4; ++i) {
-    EngineConfig c = paper_cfg(Scheme::kCorrOptLg);
-    c.shards = curve_shards[i];
-    shard_runs[i] = timed_run(c, 1, 3);
-    std::fprintf(stderr, "sharding: shards=%d wall %.3f s\n", curve_shards[i],
-                 shard_runs[i].sec);
-  }
-  const bool shards_identical =
-      identical_results(shard_runs[0].res, shard_runs[3].res) &&
-      identical_results(shard_runs[0].res, lg.res);
-  std::printf("shards=1 vs shards=8 paper arm: %s\n",
-              shards_identical ? "bit-identical" : "MISMATCH");
-
   FILE* f = std::fopen(path, "w");
   if (f == nullptr) {
     std::fprintf(stderr, "bench_traffic: cannot write %s\n", path);
@@ -231,18 +197,6 @@ int write_bench_json(const char* path) {
                "\"jobs_bit_identical\": %s},\n",
                ck.differential ? "true" : "false",
                ck.jobs_identical ? "true" : "false");
-  std::fprintf(f,
-               "  \"sharding\": {\"jobs\": 1, \"cores\": %u, "
-               "\"window_ns\": 700, \"identical_shards_1_8\": %s,\n"
-               "    \"curve\": [",
-               machine_cores(), shards_identical ? "true" : "false");
-  for (int i = 0; i < 4; ++i) {
-    std::fprintf(f, "%s{\"shards\": %d, \"wall_sec\": %.3f}", i ? ", " : "",
-                 curve_shards[i], shard_runs[i].sec);
-  }
-  std::fprintf(f, "],\n    \"speedup_at_8\": %.2f},\n",
-               shard_runs[3].sec > 0 ? shard_runs[0].sec / shard_runs[3].sec
-                                     : 0.0);
   auto arm = [&](const char* name, const TimedRun& r, const char* sep) {
     std::fprintf(
         f,
@@ -265,7 +219,7 @@ int write_bench_json(const char* path) {
   std::fprintf(f, "}\n");
   std::fclose(f);
   std::printf("wrote %s\n", path);
-  return (ck.ok() && shards_identical) ? 0 : 1;
+  return ck.ok() ? 0 : 1;
 }
 
 int run_smoke(const char* baseline_path) {
@@ -275,48 +229,25 @@ int run_smoke(const char* baseline_path) {
                  baseline_path);
     return 1;
   }
-  // The committed baseline must carry the sharding section (identity flag +
-  // scaling curve): losing it in a future re-baseline would silently drop
-  // the perf record this PR's tentpole is gated on.
-  std::string baseline;
-  char buf[4096];
-  for (std::size_t n; (n = std::fread(buf, 1, sizeof(buf), f)) > 0;)
-    baseline.append(buf, n);
   std::fclose(f);
-  const bool has_sharding = baseline.find("\"sharding\"") != std::string::npos;
-
   std::printf("--- bench_traffic smoke (baseline %s) ---\n", baseline_path);
   const Checks ck = run_checks();
 
   // Scheme comparison on the same small fabric: every corrupting link stays
-  // active at 1e-3 loss; LG must shrink the victim tail. shards=1 forced —
-  // this run doubles as the unsharded reference for the shard gate below.
-  EngineConfig lg_cfg = small_cfg(Scheme::kCorrOptLg, Fidelity::kHybrid);
-  lg_cfg.shards = 1;
-  const TrafficResult lg = run_traffic(lg_cfg, 2);
+  // active at 1e-3 loss; LG must shrink the victim tail.
+  const TrafficResult lg =
+      run_traffic(small_cfg(Scheme::kCorrOptLg, Fidelity::kHybrid), 2);
   const TrafficResult co =
       run_traffic(small_cfg(Scheme::kCorrOptOnly, Fidelity::kHybrid), 2);
   const bool lg_wins = co.victims > 0 && lg.victims > 0 &&
                        lg.p_victim(99) < co.p_victim(99) &&
                        lg.fct_victim_us.mean() < co.fct_victim_us.mean();
-
-  // Shard gate: the same cell grid on the sharded runtime (shards clamp to
-  // the 2 pods; 2 workers forced so the concurrent windowed-sync path runs
-  // even on a single-core machine) must merge to the same bytes.
-  EngineConfig sh_cfg = lg_cfg;
-  sh_cfg.shards = 4;
-  sh_cfg.shard_workers = 2;
-  const bool shard_identical = identical_results(lg, run_traffic(sh_cfg, 2));
-
   std::printf("victim p99: CorrOpt-only %.1f us vs CorrOpt+LG %.1f us  [%s]\n",
               co.p_victim(99), lg.p_victim(99), lg_wins ? "PASS" : "FAIL");
   std::printf("differential [%s]  jobs-identical [%s]\n",
               ck.differential ? "PASS" : "FAIL",
               ck.jobs_identical ? "PASS" : "FAIL");
-  std::printf("sharded vs unsharded [%s]  baseline sharding section [%s]\n",
-              shard_identical ? "PASS" : "FAIL",
-              has_sharding ? "PASS" : "FAIL");
-  return (ck.ok() && lg_wins && shard_identical && has_sharding) ? 0 : 1;
+  return (ck.ok() && lg_wins) ? 0 : 1;
 }
 
 }  // namespace
@@ -325,17 +256,12 @@ int main(int argc, char** argv) {
   lgsim::bench::TraceSession trace_session(argc, argv);
   const char* json_path = nullptr;
   const char* smoke_path = nullptr;
-  g_shards = static_cast<std::int32_t>(
-      lgsim::parse_positive_count(std::getenv("LGSIM_SHARDS"), 1));
   for (int i = 1; i < argc; ++i) {
     const std::string_view a = argv[i] != nullptr ? argv[i] : "";
     if (a.rfind("--bench_json=", 0) == 0)
       json_path = argv[i] + std::strlen("--bench_json=");
     if (a.rfind("--smoke=", 0) == 0)
       smoke_path = argv[i] + std::strlen("--smoke=");
-    if (a.rfind("--shards=", 0) == 0)
-      g_shards = static_cast<std::int32_t>(
-          lgsim::parse_positive_count(argv[i] + std::strlen("--shards="), 1));
   }
   if (smoke_path != nullptr) return run_smoke(smoke_path);
   if (json_path != nullptr) return write_bench_json(json_path);

@@ -30,7 +30,6 @@
 
 #include "harness/run_result.h"
 #include "obs/trace.h"
-#include "util/cores.h"
 #include "util/env.h"
 
 namespace lgsim::harness {
@@ -65,10 +64,6 @@ auto parallel_map(const std::vector<Item>& items, Fn&& fn,
     // Serial reference path: identical work, identical order.
     for (std::size_t i = 0; i < items.size(); ++i) slots[i] = fn(items[i], i);
   } else {
-    // Lease the worker count so nested pools (sharded cells) size themselves
-    // from the remainder of the machine. Serial runs don't lease: a
-    // single-worker outer loop leaves the whole budget to its callee.
-    CoreLease lease(workers);
     std::atomic<std::size_t> next{0};
     std::vector<std::exception_ptr> errors(workers);
     std::vector<std::thread> pool;
@@ -199,9 +194,6 @@ class ParallelRunner {
         acc[0].push_back(RunResult<Value>{grid_[i].key, run_one(i)});
       }
     } else {
-      // See parallel_map: leased only on the threaded path so nested sharded
-      // cells split the remaining cores instead of oversubscribing.
-      CoreLease lease(workers);
       std::atomic<std::size_t> next{0};
       std::vector<std::exception_ptr> errors(workers);
       std::vector<std::thread> pool;

@@ -35,16 +35,6 @@ class MetricsRegistry {
   double& gauge(const std::string& name) { return gauges_[name]; }
   RunningStats& distribution(const std::string& name) { return dists_[name]; }
 
-  /// Folds another registry in: counters add, gauges take the other's value
-  /// (last writer wins, matching sequential re-publication), distributions
-  /// merge Welford-style. Used to reduce per-shard registries into the cell's
-  /// sink in deterministic shard order.
-  void merge(const MetricsRegistry& o) {
-    for (const auto& [n, v] : o.counters_) counters_[n] += v;
-    for (const auto& [n, v] : o.gauges_) gauges_[n] = v;
-    for (const auto& [n, d] : o.dists_) dists_[n].merge(d);
-  }
-
   bool empty() const {
     return counters_.empty() && gauges_.empty() && dists_.empty();
   }

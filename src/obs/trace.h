@@ -177,24 +177,6 @@ class TraceSink {
 
   void push(const TraceRecord& r) { ring_.push(r); }
 
-  /// Folds another sink's contents into this one: records are re-pushed in
-  /// the other ring's retained (oldest-first) order with actor ids re-interned
-  /// into this sink's name space, and the metrics registries merge. This is
-  /// how per-shard sinks — filled concurrently on shard workers — reduce into
-  /// a cell's collector-registered sink: absorbing in fixed shard order keeps
-  /// the exported trace independent of worker scheduling.
-  void absorb(const TraceSink& o) {
-    std::vector<std::uint32_t> remap(o.names_.size(), 0);
-    for (std::size_t i = 1; i < o.names_.size(); ++i)
-      remap[i] = intern(o.names_[i]);
-    for (std::size_t i = 0; i < o.ring_.size(); ++i) {
-      TraceRecord r = o.ring_.at(i);
-      r.actor = r.actor < remap.size() ? remap[r.actor] : 0;
-      ring_.push(r);
-    }
-    metrics_.merge(o.metrics_);
-  }
-
   const std::string& label() const { return label_; }
   const TraceRing& ring() const { return ring_; }
   const std::vector<std::string>& actor_names() const { return names_; }

@@ -21,7 +21,7 @@
 //     penalties sampled from the scenario's residual-loss rates. Scaling
 //     sanity mode.
 //
-// Determinism contract (the ParallelRunner one): the run is sharded into
+// Determinism contract (the ParallelRunner one): the run is split into
 // {seed x time-slice} cells; each cell draws every flow attribute from
 // per-(seed, slice, host) RNG streams (workload::stream_rng) and victim
 // packet simulations from per-(seed, slice, link) seeds, so the merged
@@ -87,16 +87,6 @@ struct EngineConfig {
   /// The same budget independently caps kAllPacket background flows.
   std::int64_t max_packet_flows_per_cell = 4096;
   FluidConfig fluid;
-
-  // --- intra-run sharding (DESIGN.md §15) ------------------------------
-  /// > 1 partitions each cell's fabric into contiguous pod blocks and runs
-  /// them as sim::ShardedSimulator shards coupled by boundary channels
-  /// (clamped to the pod count). Results are byte-identical to shards == 1
-  /// — the shard-identity tests pin it — so this is a wall-clock knob only.
-  std::int32_t shards = 1;
-  /// Worker threads inside a sharded cell: 0 sizes from the shared core
-  /// budget (util/cores.h); any value produces identical bytes.
-  std::int32_t shard_workers = 0;
 };
 
 /// A corrupting link CorrOpt had to keep active (the victim-making links).

@@ -13,7 +13,7 @@
 //
 // Determinism: generators are seeded per (run seed, cell, host) via
 // stream_rng(), a SplitMix64-style mix, so every {seed x time-slice} cell of
-// a sharded run draws an independent, scheduling-independent stream — the
+// a run draws an independent, scheduling-independent stream — the
 // property the traffic engine's byte-identical-across-LGSIM_BENCH_JOBS
 // contract rests on. Restarting a Poisson process at a slice boundary is
 // still a Poisson process (memorylessness), so slicing a run's horizon does

@@ -4,15 +4,13 @@
 // trace records, so the pre-telemetry goldens (fig08_golden_j{1,4}) hold
 // byte-for-byte. And when probes ARE enabled, the probe path itself must be
 // allocation-free in steady state (the same bar the event kernel's hot path
-// meets, measured by the same interposed global operator new that
-// bench_micro uses — the one observer heap traffic cannot hide from).
+// meets, measured by the same interposed global allocator that bench_micro
+// uses — tests/support/alloc_counter.h).
 //
 // Standalone binary (not lg_add_test): it replaces the global allocator.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <memory>
+#include <cstdint>
 #include <new>
 #include <string>
 
@@ -22,50 +20,12 @@
 #include "obs/trace.h"
 #include "sim/random.h"
 #include "sim/simulator.h"
+#include "support/alloc_counter.h"
 #include "telemetry/estimator.h"
 #include "telemetry/probe.h"
 
-static std::atomic<std::uint64_t> g_heap_allocs{0};
-
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-#endif
-
-void* operator new(std::size_t n) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n ? n : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void* operator new(std::size_t n, std::align_val_t al) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  void* p = nullptr;
-  if (posix_memalign(&p, static_cast<std::size_t>(al), n ? n : 1) != 0)
-    throw std::bad_alloc();
-  return p;
-}
-void* operator new[](std::size_t n, std::align_val_t al) {
-  return ::operator new(n, al);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-
 namespace lgsim {
 namespace {
-
-std::uint64_t heap_allocs() {
-  return g_heap_allocs.load(std::memory_order_relaxed);
-}
 
 // RNG neutrality, component level: the exact Bernoulli loss pattern a
 // traffic stream sees must be unchanged by a LinkProber that exists but is
@@ -162,6 +122,60 @@ TEST(TelemetryOn, ProbePathIsAllocationFreeInSteadyState) {
   EXPECT_TRUE(mid.known);
   EXPECT_EQ(mid.rate, 0.0);
   EXPECT_EQ(prober.sent(), 10'000);
+}
+
+// The counter's own contract: every new overload is counted once, and every
+// allocation goes back through its matching delete. libstdc++ forwards the
+// nothrow news to the plain one, so in a plain build an unreplaced nothrow
+// overload is still counted; under AddressSanitizer the runtime supplies any
+// overload left unreplaced, and its block freed by a replaced delete fails
+// here as an alloc-dealloc mismatch. The volatile store keeps the compiler
+// from eliding an allocate/free pair.
+TEST(AllocCounter, EveryNewOverloadIsCounted) {
+  static constexpr std::align_val_t al{64};
+  static constexpr std::size_t n = 8;
+  struct Case {
+    const char* name;
+    void* (*alloc)();
+    void (*release)(void*);
+  };
+  const Case cases[] = {
+      {"new", [] { return ::operator new(n); },
+       [](void* p) { ::operator delete(p); }},
+      {"new[]", [] { return ::operator new[](n); },
+       [](void* p) { ::operator delete[](p); }},
+      {"new, sized delete", [] { return ::operator new(n); },
+       [](void* p) { ::operator delete(p, n); }},
+      {"new[], sized delete[]", [] { return ::operator new[](n); },
+       [](void* p) { ::operator delete[](p, n); }},
+      {"aligned new", [] { return ::operator new(n, al); },
+       [](void* p) { ::operator delete(p, al); }},
+      {"aligned new[]", [] { return ::operator new[](n, al); },
+       [](void* p) { ::operator delete[](p, al); }},
+      {"aligned new, sized delete", [] { return ::operator new(n, al); },
+       [](void* p) { ::operator delete(p, n, al); }},
+      {"aligned new[], sized delete[]", [] { return ::operator new[](n, al); },
+       [](void* p) { ::operator delete[](p, n, al); }},
+      {"nothrow new", [] { return ::operator new(n, std::nothrow); },
+       [](void* p) { ::operator delete(p, std::nothrow); }},
+      {"nothrow new[]", [] { return ::operator new[](n, std::nothrow); },
+       [](void* p) { ::operator delete[](p, std::nothrow); }},
+      {"aligned nothrow new", [] { return ::operator new(n, al, std::nothrow); },
+       [](void* p) { ::operator delete(p, al, std::nothrow); }},
+      {"aligned nothrow new[]",
+       [] { return ::operator new[](n, al, std::nothrow); },
+       [](void* p) { ::operator delete[](p, al, std::nothrow); }},
+      // The pairing std::stable_sort's temporary buffer uses.
+      {"nothrow new, plain delete",
+       [] { return ::operator new(n, std::nothrow); },
+       [](void* p) { ::operator delete(p); }},
+  };
+  for (const Case& c : cases) {
+    const std::uint64_t before = heap_allocs();
+    void* volatile p = c.alloc();
+    c.release(p);
+    EXPECT_EQ(heap_allocs() - before, 1u) << c.name;
+  }
 }
 
 }  // namespace
