@@ -6,19 +6,23 @@
 //     port datapath (the bound DESIGN.md's overhead model promises for builds
 //     that keep LGSIM_TRACE_ENABLED=1 but never install a sink);
 //   * allocation guard: the steady-state event loop and port datapath must
-//     perform exactly 0 heap allocations per event/frame, counted by the
+//     perform exactly 0 heap allocations per event/frame, and a protected
+//     link (ordered LG and LG_NB) fewer than 0.01 per frame, counted by the
 //     interposed global allocator (tests/support/alloc_counter.h).
 //
 // Special modes (both bypass google-benchmark):
-//   --bench_json=<path>  measure the steady-state kernel metrics and write
-//                        them as one JSON object (the shape of a trajectory
-//                        point in the committed BENCH_micro.json), then run
-//                        the guards.
-//   --smoke=<baseline>   reduced mode for ctest: re-measure the steady-state
-//                        event loop and fail if it regressed > 20% in
-//                        events/sec against the most recent trajectory point
-//                        in the committed BENCH_micro.json (plus the 0-alloc
-//                        guards).
+//   --bench_json=<path>  measure the steady-state kernel, port and LG metrics
+//                        and write them as one JSON object (the shape of a
+//                        trajectory point in the committed BENCH_micro.json),
+//                        then run the guards.
+//   --smoke=<baseline>   reduced mode for ctest: time the steady-state event
+//                        loop next to a fixed in-process reference kernel and
+//                        fail if the loop/reference speed ratio fell > 20%
+//                        below the ratio of the most recent trajectory point
+//                        that records one (plus the allocation guards). The
+//                        host's speed moves both timings, so the gate holds
+//                        on any machine; the absolute events/sec is printed
+//                        against the baseline's as the record.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -26,12 +30,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "bench_common.h"
+#include "lg/config.h"
 #include "lg/link.h"
 #include "lg/seqno.h"
 #include "net/loss_model.h"
@@ -306,6 +312,148 @@ SteadyStat measure_port_steady(int batches, int trials) {
   return best;
 }
 
+/// A protected 100G link at 1e-4 Bernoulli loss in steady state: one
+/// ProtectedLink reused across batches, so the LG Tx/Rx rings, the port
+/// pools and the event slots are warm. Per protected frame, end to end
+/// through ProtectedLink: port, loss roll, LG sender and receiver, and the
+/// reverse-direction ACK/notification traffic.
+SteadyStat measure_lg_steady(bool ordered, int batches, int trials) {
+  constexpr int kFrames = 1000;
+  Simulator sim;
+  lg::LinkSpec spec;
+  spec.rate = gbps(100);
+  lg::LgConfig cfg = lg::tuned_for_rate(lg::LgConfig{}, spec.rate);
+  cfg.preserve_order = ordered;
+  cfg.actual_loss_rate = 1e-4;
+  lg::ProtectedLink link(sim, spec, cfg);
+  link.set_loss_model(std::make_unique<net::BernoulliLoss>(1e-4, Rng(3)));
+  std::int64_t forwarded = 0;
+  link.set_forward_sink([&](net::Packet&&) { ++forwarded; });
+  link.enable_lg();
+  const auto run_batch = [&] {
+    for (int i = 0; i < kFrames; ++i) {
+      net::Packet p;
+      p.kind = net::PktKind::kData;
+      p.frame_bytes = 1518;
+      link.send_forward(std::move(p));
+    }
+    sim.run();
+  };
+  for (int w = 0; w < 20; ++w) run_batch();  // grow rings, pools, slots
+  SteadyStat best{1e18, 1e18};
+  for (int t = 0; t < trials; ++t) {
+    const std::uint64_t a0 = heap_allocs();
+    const auto t0 = std::chrono::steady_clock::now();
+    for (int b = 0; b < batches; ++b) run_batch();
+    const auto t1 = std::chrono::steady_clock::now();
+    const std::uint64_t a1 = heap_allocs();
+    const double frames = static_cast<double>(batches) * kFrames;
+    best.ns_per_event = std::min(best.ns_per_event, elapsed_ns(t0, t1) / frames);
+    best.allocs_per_event =
+        std::min(best.allocs_per_event, static_cast<double>(a1 - a0) / frames);
+  }
+  benchmark::DoNotOptimize(forwarded);
+  return best;
+}
+
+/// Steady-state LG allocations must stay below this per frame. Not 0: the
+/// retransmission-delay tracker keeps every sample, so its vector still
+/// doubles now and then (a few allocations per million frames).
+constexpr double kLgAllocLimit = 0.01;
+
+// ------------------------------------------------- host-speed reference
+
+/// The reference kernel's heap entries: a time and the index of the slot
+/// holding the callback.
+struct RefEvent {
+  std::int64_t time;
+  std::uint32_t slot;
+  bool operator>(const RefEvent& o) const {
+    return time != o.time ? time > o.time : slot > o.slot;
+  }
+};
+
+/// A 64-byte callback record, the size of the kernel's inline callback
+/// storage, so both kernels move the same bytes per event.
+struct RefSlot {
+  void (*fn)(std::int64_t&, std::uint32_t);
+  std::int64_t* sum;
+  std::uint32_t arg;
+  std::uint64_t pad[5];
+};
+
+void ref_add(std::int64_t& sum, std::uint32_t i) { sum += i; }
+void (*volatile g_ref_callback)(std::int64_t&, std::uint32_t) = &ref_add;
+
+constexpr int kRefBatch = 1000;
+
+/// Host-speed reference for the smoke gate: the steady-state event loop's
+/// shape (batches of 1000 timed callbacks written to 64-byte slot records,
+/// then dispatched in time order through one indirect call each) on a plain
+/// binary heap. It shares no code with src/, so a kernel change moves the
+/// measured loop and not this, while a slower or faster host — or a
+/// neighbour contending for the same core's caches — moves both. Returns ns
+/// per event.
+double reference_ns_per_event(int batches) {
+  std::vector<RefEvent> heap;
+  heap.reserve(kRefBatch);
+  std::vector<RefSlot> slots(kRefBatch);
+  const auto greater = std::greater<RefEvent>{};
+  void (*const cb)(std::int64_t&, std::uint32_t) = g_ref_callback;
+  std::int64_t sum = 0;
+  std::int64_t now = 0;
+  const auto t0 = std::chrono::steady_clock::now();
+  for (int b = 0; b < batches; ++b) {
+    for (int i = 0; i < kRefBatch; ++i) {
+      RefSlot& s = slots[static_cast<std::size_t>(i)];
+      s.fn = cb;
+      s.sum = &sum;
+      s.arg = static_cast<std::uint32_t>(i);
+      s.pad[0] = static_cast<std::uint64_t>(now);
+      heap.push_back({now + i, static_cast<std::uint32_t>(i)});
+      std::push_heap(heap.begin(), heap.end(), greater);
+    }
+    while (!heap.empty()) {
+      std::pop_heap(heap.begin(), heap.end(), greater);
+      const RefEvent e = heap.back();
+      heap.pop_back();
+      now = e.time;
+      const RefSlot& s = slots[e.slot];
+      s.fn(*s.sum, s.arg);
+    }
+  }
+  const auto t1 = std::chrono::steady_clock::now();
+  benchmark::DoNotOptimize(sum);
+  return elapsed_ns(t0, t1) / (static_cast<double>(batches) * kRefBatch);
+}
+
+/// The steady-state event loop and the reference kernel, timed in
+/// back-to-back pairs so each pair sees one stretch of host speed.
+struct LoopVsReference {
+  SteadyStat loop;            // best of the pairs
+  double reference_ns = 1e18; // best of the pairs
+  double ratio = 0;           // median over pairs of reference ns / loop ns
+  double reference_events_per_sec() const { return 1e9 / reference_ns; }
+};
+
+LoopVsReference measure_loop_vs_reference(int pairs, int batches) {
+  reference_ns_per_event(3);  // warm
+  LoopVsReference r;
+  r.loop = {1e18, 1e18};
+  std::vector<double> ratios;
+  for (int p = 0; p < pairs; ++p) {
+    const double ref = reference_ns_per_event(batches);
+    const SteadyStat loop = measure_event_loop_steady(batches, /*trials=*/1);
+    ratios.push_back(ref / loop.ns_per_event);
+    r.reference_ns = std::min(r.reference_ns, ref);
+    r.loop.ns_per_event = std::min(r.loop.ns_per_event, loop.ns_per_event);
+    r.loop.allocs_per_event = std::min(r.loop.allocs_per_event, loop.allocs_per_event);
+  }
+  std::sort(ratios.begin(), ratios.end());
+  r.ratio = ratios[ratios.size() / 2];
+  return r;
+}
+
 // --------------------------------------------------------- overhead guard
 
 template <bool kWithEmit>
@@ -373,11 +521,36 @@ double measure_port_frame_ns() {
   return best;
 }
 
+/// Prints the allocation guard and returns true iff the steady-state event
+/// loop and port datapath allocate nothing and a protected link (ordered LG
+/// and LG_NB) stays under kLgAllocLimit allocations per frame.
+bool run_alloc_guard(int loop_batches, int port_batches, int lg_batches) {
+  const SteadyStat loop = measure_event_loop_steady(loop_batches, /*trials=*/3);
+  const SteadyStat port = measure_port_steady(port_batches, /*trials=*/3);
+  const SteadyStat lg_ordered = measure_lg_steady(true, lg_batches, /*trials=*/2);
+  const SteadyStat lg_nb = measure_lg_steady(false, lg_batches, /*trials=*/2);
+  const auto line = [](const char* name, const char* unit, double allocs,
+                       double limit, bool strict_zero) {
+    const bool pass = strict_zero ? allocs == 0.0 : allocs < limit;
+    std::printf("%-32s %10.4f allocs/%s  (%s %g)  [%s]\n", name, allocs, unit,
+                strict_zero ? "limit" : "limit <", limit, pass ? "PASS" : "FAIL");
+    return pass;
+  };
+  std::printf("--- allocation guard (steady state, interposed operator new) ---\n");
+  bool pass = line("event loop", "event", loop.allocs_per_event, 0, true);
+  pass = line("port datapath", "frame", port.allocs_per_event, 0, true) && pass;
+  pass = line("LG ordered (100G, 1e-4)", "frame", lg_ordered.allocs_per_event,
+              kLgAllocLimit, false) && pass;
+  pass = line("LG_NB (100G, 1e-4)", "frame", lg_nb.allocs_per_event,
+              kLgAllocLimit, false) && pass;
+  return pass;
+}
+
 /// Prints the guard table and returns 0 iff (a) the runtime-off probe cost
 /// is under 1% of the port datapath — a forwarded frame crosses 3 probes
 /// (enqueue, dequeue, deliver), so 3x the per-probe cost is the entire delta
 /// between this build and an LGSIM_TRACE_ENABLED=0 build — and (b) the
-/// steady-state event loop and port datapath allocate exactly nothing.
+/// allocation guard passes.
 int run_guards() {
   const double emit_ns = measure_emit_off_ns();
   const double frame_ns = measure_port_frame_ns();
@@ -393,76 +566,91 @@ int run_guards() {
   std::printf("%-32s %9.3f%%  (limit %.1f%%)  [%s]\n", "runtime-off overhead",
               frac * 100.0, kLimit * 100.0, trace_pass ? "PASS" : "FAIL");
 
-  const SteadyStat loop = measure_event_loop_steady(/*batches=*/200, /*trials=*/3);
-  const SteadyStat port = measure_port_steady(/*batches=*/50, /*trials=*/3);
-  const bool alloc_pass =
-      loop.allocs_per_event == 0.0 && port.allocs_per_event == 0.0;
-  std::printf("--- allocation guard (steady state, interposed operator new) ---\n");
-  std::printf("%-32s %10.3f allocs/event  (limit 0)  [%s]\n",
-              "event loop", loop.allocs_per_event,
-              loop.allocs_per_event == 0.0 ? "PASS" : "FAIL");
-  std::printf("%-32s %10.3f allocs/frame  (limit 0)  [%s]\n",
-              "port datapath", port.allocs_per_event,
-              port.allocs_per_event == 0.0 ? "PASS" : "FAIL");
+  const bool alloc_pass = run_alloc_guard(/*loop_batches=*/200, /*port_batches=*/50,
+                                         /*lg_batches=*/100);
   return (trace_pass && alloc_pass) ? 0 : 1;
 }
 
 // ------------------------------------------------- trajectory JSON + smoke
 
-void print_point(const char* name, const SteadyStat& s) {
-  std::printf("%-16s %12.0f events/sec %8.2f ns/event %8.3f allocs/event\n",
-              name, s.events_per_sec(), s.ns_per_event, s.allocs_per_event);
+void print_point(const char* name, const SteadyStat& s, const char* unit = "event") {
+  std::printf("%-16s %12.0f %ss/sec %8.2f ns/%s %8.5f allocs/%s\n", name,
+              s.events_per_sec(), unit, s.ns_per_event, unit, s.allocs_per_event, unit);
 }
 
 /// Full-fidelity steady-state measurement, written as one JSON object — the
-/// shape of a trajectory point in the committed BENCH_micro.json.
+/// shape of a trajectory point in the committed BENCH_micro.json. The event
+/// loop's entry also carries the reference kernel's speed and the
+/// loop/reference ratio the smoke gate compares against.
 int write_bench_json(const char* path) {
-  const SteadyStat loop = measure_event_loop_steady(/*batches=*/2000, /*trials=*/5);
+  const LoopVsReference ref = measure_loop_vs_reference(/*pairs=*/41, /*batches=*/100);
   const SteadyStat chain = measure_event_chain_steady(/*events=*/500'000, /*trials=*/5);
   const SteadyStat port = measure_port_steady(/*batches=*/100, /*trials=*/3);
-  print_point("event_loop", loop);
+  const SteadyStat lg_ordered = measure_lg_steady(true, /*batches=*/200, /*trials=*/3);
+  const SteadyStat lg_nb = measure_lg_steady(false, /*batches=*/200, /*trials=*/3);
+  print_point("event_loop", ref.loop);
+  std::printf("%-16s %12.0f events/sec (loop/reference ratio %.3f)\n",
+              "reference", ref.reference_events_per_sec(), ref.ratio);
   print_point("event_chain", chain);
-  print_point("port_datapath", port);
+  print_point("port_datapath", port, "frame");
+  print_point("lg_ordered", lg_ordered, "frame");
+  print_point("lg_nb", lg_nb, "frame");
   FILE* f = std::fopen(path, "w");
   if (f == nullptr) {
     std::fprintf(stderr, "bench_micro: cannot write %s\n", path);
     return 1;
   }
   std::fprintf(f, "{\n");
+  std::fprintf(f,
+               "  \"event_loop\": {\"events_per_sec\": %.0f, \"ns_per_event\": %.2f, "
+               "\"allocs_per_event\": %.3f, \"reference_events_per_sec\": %.0f, "
+               "\"ratio_to_reference\": %.3f},\n",
+               ref.loop.events_per_sec(), ref.loop.ns_per_event,
+               ref.loop.allocs_per_event, ref.reference_events_per_sec(), ref.ratio);
   const auto obj = [f](const char* name, const SteadyStat& s, const char* unit,
-                       bool last) {
+                       int decimals, bool last) {
     std::fprintf(f,
                  "  \"%s\": {\"events_per_sec\": %.0f, \"ns_per_%s\": %.2f, "
-                 "\"allocs_per_%s\": %.3f}%s\n",
-                 name, s.events_per_sec(), unit, s.ns_per_event, unit,
+                 "\"allocs_per_%s\": %.*f}%s\n",
+                 name, s.events_per_sec(), unit, s.ns_per_event, unit, decimals,
                  s.allocs_per_event, last ? "" : ",");
   };
-  obj("event_loop", loop, "event", false);
-  obj("event_chain", chain, "event", false);
-  obj("port_datapath", port, "frame", true);
+  obj("event_chain", chain, "event", 3, false);
+  obj("port_datapath", port, "frame", 3, false);
+  obj("lg_ordered", lg_ordered, "frame", 5, false);
+  obj("lg_nb", lg_nb, "frame", 5, true);
   std::fprintf(f, "}\n");
   std::fclose(f);
   std::printf("wrote %s\n", path);
   return 0;
 }
 
-/// Pulls `events_per_sec` out of the LAST "event_loop" object in the file —
-/// in the committed BENCH_micro.json the trajectory array is chronological,
-/// so the last point is the current baseline.
-double parse_baseline_events_per_sec(const std::string& text) {
-  const std::size_t at = text.rfind("\"event_loop\"");
-  if (at == std::string::npos) return -1.0;
-  const std::size_t key = text.find("\"events_per_sec\"", at);
-  if (key == std::string::npos) return -1.0;
-  const std::size_t colon = text.find(':', key);
-  if (colon == std::string::npos) return -1.0;
-  return std::strtod(text.c_str() + colon + 1, nullptr);
+/// Pulls the number after the LAST occurrence of `"key":` that follows an
+/// `"event_loop"` object opening — in the committed BENCH_micro.json the
+/// trajectory array is chronological, so the last point that records the key
+/// is the current baseline. Returns -1 if no point records it.
+double parse_last_event_loop_field(const std::string& text, const char* key) {
+  const std::string quoted = std::string("\"") + key + "\"";
+  std::size_t at = text.size();
+  while (true) {
+    at = text.rfind("\"event_loop\"", at == 0 ? 0 : at - 1);
+    if (at == std::string::npos) return -1.0;
+    const std::size_t close = text.find('}', at);
+    const std::size_t k = text.find(quoted, at);
+    if (k != std::string::npos && k < close) {
+      const std::size_t colon = text.find(':', k);
+      return std::strtod(text.c_str() + colon + 1, nullptr);
+    }
+    if (at == 0) return -1.0;
+  }
 }
 
-/// Reduced mode for the bench-smoke ctest: quick event-loop re-measurement
-/// against the committed baseline, plus the 0-alloc guards. >20% events/sec
-/// regression fails. Comparing best-of-trials against a baseline measured on
-/// the same machine keeps this deterministic enough for CI.
+/// Reduced mode for the bench-smoke ctest. Gates on the event loop's speed
+/// relative to the in-process reference kernel: the ratio must stay within
+/// 20% of the one recorded in the baseline. Machine speed cancels out of the
+/// ratio, so the gate holds on any host; the absolute events/sec is printed
+/// against the baseline's as the record, not gated. Plus the allocation
+/// guards.
 int run_smoke(const char* baseline_path) {
   FILE* f = std::fopen(baseline_path, "r");
   if (f == nullptr) {
@@ -474,29 +662,37 @@ int run_smoke(const char* baseline_path) {
   std::size_t n;
   while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) text.append(buf, n);
   std::fclose(f);
-  const double baseline = parse_baseline_events_per_sec(text);
-  if (baseline <= 0) {
+  const double base_ratio = parse_last_event_loop_field(text, "ratio_to_reference");
+  const double base_eps = parse_last_event_loop_field(text, "events_per_sec");
+  if (base_ratio <= 0 || base_eps <= 0) {
     std::fprintf(stderr,
-                 "bench_micro --smoke: no event_loop.events_per_sec in %s\n",
+                 "bench_micro --smoke: no event_loop ratio_to_reference in %s\n",
                  baseline_path);
     return 1;
   }
-  const SteadyStat loop = measure_event_loop_steady(/*batches=*/300, /*trials=*/5);
-  const SteadyStat port = measure_port_steady(/*batches=*/30, /*trials=*/3);
-  const double ratio = loop.events_per_sec() / baseline;
-  constexpr double kFloor = 0.80;  // fail on >20% events/sec regression
-  const bool speed_pass = ratio >= kFloor;
-  const bool alloc_pass =
-      loop.allocs_per_event == 0.0 && port.allocs_per_event == 0.0;
+  // Up to three attempts, each a median over 21 back-to-back pairs: a burst
+  // of interference from other tenants can shift one attempt's median, while
+  // a real regression moves every attempt (bench_smoke_gate_bites).
+  constexpr double kFloor = 0.80;  // fail on a >20% drop relative to the host
+  constexpr int kAttempts = 3;
   std::printf("--- bench smoke (baseline %s) ---\n", baseline_path);
-  std::printf("%-32s %12.0f events/sec\n", "baseline event loop", baseline);
-  std::printf("%-32s %12.0f events/sec (%.2fx, floor %.2fx)  [%s]\n",
-              "measured event loop", loop.events_per_sec(), ratio, kFloor,
+  double best_rel = 0;
+  for (int attempt = 1; attempt <= kAttempts && best_rel < kFloor; ++attempt) {
+    const LoopVsReference ref = measure_loop_vs_reference(/*pairs=*/21, /*batches=*/100);
+    const double rel = ref.ratio / base_ratio;
+    best_rel = std::max(best_rel, rel);
+    std::printf("attempt %d: event loop %.0f events/sec (baseline %.0f: %.2fx, "
+                "record only), reference %.0f events/sec, ratio %.3f (%.2fx)\n",
+                attempt, ref.loop.events_per_sec(), base_eps,
+                ref.loop.events_per_sec() / base_eps, ref.reference_events_per_sec(),
+                ref.ratio, rel);
+  }
+  const bool speed_pass = best_rel >= kFloor;
+  std::printf("%-32s best %.2fx of baseline ratio %.3f (floor %.2fx)  [%s]\n",
+              "event loop / reference", best_rel, base_ratio, kFloor,
               speed_pass ? "PASS" : "FAIL");
-  std::printf("%-32s %12.3f  (limit 0)  [%s]\n", "event loop allocs/event",
-              loop.allocs_per_event, loop.allocs_per_event == 0.0 ? "PASS" : "FAIL");
-  std::printf("%-32s %12.3f  (limit 0)  [%s]\n", "port datapath allocs/frame",
-              port.allocs_per_event, port.allocs_per_event == 0.0 ? "PASS" : "FAIL");
+  const bool alloc_pass = run_alloc_guard(/*loop_batches=*/100, /*port_batches=*/30,
+                                          /*lg_batches=*/50);
   return (speed_pass && alloc_pass) ? 0 : 1;
 }
 

@@ -13,10 +13,9 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <set>
 
 #include "lg/config.h"
+#include "lg/seq_ring.h"
 #include "lg/seqno.h"
 #include "net/packet.h"
 #include "net/port.h"
@@ -93,7 +92,7 @@ class LgReceiver {
   bool backpressured() const { return bp_paused_; }
 
   std::int64_t reorder_buffer_bytes() const { return buffer_bytes_; }
-  std::int64_t reorder_buffer_pkts() const { return static_cast<std::int64_t>(buffer_.size()); }
+  std::int64_t reorder_buffer_pkts() const { return buffered_; }
   void sample_buffers() { stats_.rx_buffer_bytes.add(static_cast<double>(buffer_bytes_)); }
 
   const Stats& stats() const { return stats_; }
@@ -102,18 +101,25 @@ class LgReceiver {
   // Introspection for tests and debugging.
   std::int64_t debug_ack_no() const { return ack_no_v_; }
   std::int64_t debug_latest_rx() const { return latest_rx_v_; }
-  std::int64_t debug_buffer_head() const {
-    return buffer_.empty() ? -1 : buffer_.begin()->first;
-  }
-  std::size_t debug_outstanding() const { return outstanding_.size(); }
-  std::size_t debug_skipped() const { return skipped_.size(); }
+  std::int64_t debug_buffer_head() const;
+  std::size_t debug_outstanding() const { return outstanding_; }
+  std::size_t debug_skipped() const { return skipped_; }
   bool debug_release_pending() const { return release_pending_; }
 
  private:
-  struct Buffered {
-    net::Packet pkt;
-    SimTime entered_at = 0;
-    SimTime loop_phase = 0;  // where in the recirculation loop it sits
+  /// Per-seq receiver state: the union of the reordering buffer, the
+  /// outstanding holes and the timed-out holes ahead of ackNo.
+  enum : std::uint8_t {
+    kOutstanding = 1,  // missing; armed ackNoTimeout, detect time below
+    kSkipped = 2,      // given up on; ackNo steps over it
+    kBuffered = 4,     // held in the reordering buffer
+  };
+  struct SeqState {
+    std::uint8_t flags = 0;
+    SimTime detected_at = 0;  // kOutstanding: when the hole was detected
+    SimTime entered_at = 0;   // kBuffered: when it entered the buffer
+    SimTime loop_phase = 0;   // kBuffered: where in the recirculation loop
+    net::Packet pkt;          // kBuffered
   };
 
   SeqEra to_wire(std::int64_t v) const;
@@ -125,10 +131,20 @@ class LgReceiver {
   void send_notification(std::int64_t from, std::int64_t count);
   void arm_timeout(std::int64_t v);
   void on_timeout(std::int64_t v);
+  /// Whether v's state has any of `flags`.
+  bool has(std::int64_t v, std::uint8_t flags) const;
+  /// Sets `flag` on v (inserting its slot); the state if the flag was newly
+  /// set, nullptr if it was already set.
+  SeqState* mark(std::int64_t v, std::uint8_t flag);
+  /// Clears whichever of `flags` are set on `s` (v's state); frees the slot
+  /// once no flag is left.
+  void unmark(std::int64_t v, SeqState& s, std::uint8_t flags);
+  std::int64_t& count_of(std::uint8_t flag);
   void forward_now(net::Packet&& p);
   void advance_ack_no();
   void schedule_release();
   void backpressure_check();
+  void send_resume();
   void send_pfc(bool pause);
   void arm_pfc_refresh();
   void ensure_explicit_ack();
@@ -146,9 +162,14 @@ class LgReceiver {
   bool enabled_ = false;
   std::int64_t latest_rx_v_ = -1;
   std::int64_t ack_no_v_ = 0;
-  std::map<std::int64_t, SimTime> outstanding_;  // missing seq -> detect time
-  std::set<std::int64_t> skipped_;               // timed-out holes ahead of ackNo
-  std::map<std::int64_t, Buffered> buffer_;      // reordering buffer
+  /// One slot per seq that holds any state, indexed by virtual seq. Its
+  /// window runs from the lowest such seq (not ackNo, which stands still in
+  /// NB mode while holes stay outstanding below latestRxSeqNo) to
+  /// latestRxSeqNo.
+  SeqRing<SeqState> seqs_;
+  std::int64_t outstanding_ = 0;  // seqs flagged kOutstanding
+  std::int64_t skipped_ = 0;      // seqs flagged kSkipped
+  std::int64_t buffered_ = 0;     // seqs flagged kBuffered
   std::int64_t buffer_bytes_ = 0;
   bool bp_paused_ = false;
   bool pfc_refresh_armed_ = false;

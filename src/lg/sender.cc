@@ -1,5 +1,6 @@
 #include "lg/sender.h"
 
+#include <algorithm>
 #include <cassert>
 
 #include "obs/trace.h"
@@ -24,6 +25,7 @@ void LgSender::enable() {
   next_v_ = 0;
   latest_rx_v_ = -1;
   buffer_.clear();
+  check_from_ = 0;
   buffer_bytes_ = 0;
   // If the link is idle at activation time, arm a dummy burst so that a
   // single-packet flow arriving later is not the only frame that could
@@ -34,6 +36,7 @@ void LgSender::enable() {
 void LgSender::disable() {
   enabled_ = false;
   buffer_.clear();
+  check_from_ = 0;
   buffer_bytes_ = 0;
   if (port_.queue_paused(normal_q_)) port_.resume_queue(normal_q_);
 }
@@ -71,13 +74,15 @@ void LgSender::protect_at_egress(net::Packet& p) {
   p.debug_true_seq = static_cast<std::uint64_t>(v);
   p.frame_bytes += cfg_.header_bytes;  // 3-byte LinkGuardian data header
 
-  Buffered b;
+  Buffered& b = buffer_.insert(v);
   b.copy = p;  // egress mirroring: buffer the stamped copy
   b.enqueued_at = sim_.now();
   b.loop_phase = static_cast<SimTime>(
       jitter_.uniform_int(static_cast<std::uint64_t>(cfg_.recirc_loop)));
   buffer_bytes_ += p.frame_bytes;
-  buffer_.emplace(v, std::move(b));
+  // A copy below the cursor (an ACK that ran ahead of a fresh session)
+  // waits for the next ACK's walk like any other unscheduled copy.
+  if (v < check_from_) check_from_ = v;
 
   ++stats_.protected_sent;
 }
@@ -115,13 +120,13 @@ void LgSender::handle_reverse(const net::Packet& p) {
       stats_.dropped_requests += p.lg_notif.count - markable;
     for (int i = 0; i < markable; ++i) {
       const std::int64_t v = first + i;
-      auto it = buffer_.find(v);
-      if (it == buffer_.end()) {
+      Buffered* b = buffer_.find(v);
+      if (b == nullptr) {
         ++stats_.unknown_retx_requests;
         continue;
       }
-      if (!it->second.retx_requested) {
-        it->second.retx_requested = true;
+      if (!b->retx_requested) {
+        b->retx_requested = true;
         ++stats_.retx_requests;
       }
     }
@@ -143,10 +148,16 @@ void LgSender::advance_latest_rx(std::int64_t v) {
   latest_rx_v_ = v;
   // Every buffered copy with seqNo <= latestRxSeqNo becomes actionable at its
   // next recirculation-loop boundary: retransmit if requested, drop otherwise
-  // (Fig. 18).
-  for (auto it = buffer_.begin(); it != buffer_.end() && it->first <= v; ++it) {
-    if (!it->second.check_scheduled) schedule_loop_check(it->first, it->second);
+  // (Fig. 18). Copies below check_from_ are already scheduled, so only the
+  // newly covered ones are visited, in seq order.
+  if (!buffer_.empty()) {
+    const std::int64_t last = std::min(v, buffer_.hi());
+    for (std::int64_t k = std::max(check_from_, buffer_.lo()); k <= last; ++k) {
+      Buffered* b = buffer_.find(k);
+      if (b != nullptr && !b->check_scheduled) schedule_loop_check(k, *b);
+    }
   }
+  check_from_ = std::max(check_from_, v + 1);
 }
 
 void LgSender::schedule_loop_check(std::int64_t v, Buffered& b) {
@@ -161,9 +172,9 @@ void LgSender::schedule_loop_check(std::int64_t v, Buffered& b) {
 }
 
 void LgSender::run_loop_check(std::int64_t v) {
-  auto it = buffer_.find(v);
-  if (it == buffer_.end()) return;
-  Buffered& b = it->second;
+  Buffered* found = buffer_.find(v);
+  if (found == nullptr) return;
+  Buffered& b = *found;
   if (b.retx_requested) {
     // Retransmit N copies through the highest-priority queue. The Tofino
     // uses the multicast primitive to emit all copies in one pass.
@@ -180,7 +191,7 @@ void LgSender::run_loop_check(std::int64_t v) {
   buffer_bytes_ -= b.copy.frame_bytes;
   obs::emit(sim_.now(), obs::Cat::kLg, obs::Kind::kBufferRelease, trace_actor_,
             v, buffer_bytes_, /*aux=tx buffer*/ 0);
-  buffer_.erase(it);
+  buffer_.erase(v);
 }
 
 void LgSender::account_free(std::int64_t /*v*/, const Buffered& b) {

@@ -13,10 +13,9 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <optional>
 
 #include "lg/config.h"
+#include "lg/seq_ring.h"
 #include "lg/seqno.h"
 #include "net/packet.h"
 #include "net/port.h"
@@ -110,7 +109,11 @@ class LgSender {
   bool enabled_ = false;
   std::int64_t next_v_ = 0;       // next virtual seq to assign
   std::int64_t latest_rx_v_ = -1; // sender's copy of receiver's latestRxSeqNo
-  std::map<std::int64_t, Buffered> buffer_;
+  /// Tx buffer: one slot per buffered copy, indexed by virtual seq.
+  SeqRing<Buffered> buffer_;
+  /// Every buffered copy below this seq has its loop check scheduled, so an
+  /// ACK only walks the copies it newly covers.
+  std::int64_t check_from_ = 0;
   std::int64_t buffer_bytes_ = 0;
   Rng jitter_;
   Stats stats_;

@@ -167,6 +167,13 @@ class Simulator {
       // *before* invoking so a cancel of the running event's own id from
       // inside the callback is recognized as stale.
       bump_gen(slot);
+#ifdef LGSIM_TEST_SLOW_DISPATCH
+      // Test-only deliberately slower kernel: bench/CMakeLists.txt builds
+      // bench_micro_slow_dispatch with it to show that the bench_smoke gate
+      // fails a dispatch regression. Never defined in a library build.
+      for (int spin = 0; spin < LGSIM_TEST_SLOW_DISPATCH; ++spin)
+        asm volatile("" ::: "memory");
+#endif
       slot.cb.consume();
       free_slots_.push_back(s);
       ++executed;
