@@ -11,8 +11,8 @@
 // lost(after) == 0: a live ordered-mode switchover masks every corruption
 // loss from the moment it engages; the SUMMARY line asserts it.
 //
-// Output is byte-identical for any LGSIM_BENCH_JOBS (ParallelRunner merge
-// order + per-cell determinism); diff two runs to verify.
+// Output is byte-identical for any LGSIM_BENCH_JOBS (ParallelRunner returns
+// cells in submission order + per-cell determinism); diff two runs to verify.
 #include <cstdio>
 #include <string>
 #include <vector>

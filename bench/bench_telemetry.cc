@@ -18,8 +18,8 @@
 // period (10 us) and the exit code enforces it. `--smoke` runs the reduced
 // grid (default period, seed 1) for ctest.
 //
-// Output is byte-identical for any LGSIM_BENCH_JOBS (ParallelRunner merge
-// order + per-cell determinism); diff two runs to verify.
+// Output is byte-identical for any LGSIM_BENCH_JOBS (ParallelRunner returns
+// cells in submission order + per-cell determinism); diff two runs to verify.
 #include <cstdio>
 #include <string>
 #include <string_view>

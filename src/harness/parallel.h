@@ -6,14 +6,13 @@
 // up, at the replication grid: each {seed, config} cell constructs its own
 // Simulator/Rng inside the run function, so workers share no mutable state.
 //
-// Determinism contract: the merged results are byte-identical for any worker
-// count (LGSIM_BENCH_JOBS=1 vs =8), because
+// One pool, parallel_map, spawns every worker thread; ParallelRunner is the
+// {seed, config} grid front end over it. Determinism contract: results are
+// byte-identical for any worker count (LGSIM_BENCH_JOBS=1 vs =8), because
 //   1. each replication's result depends only on its config (no ambient
-//      state, no shared RNG draws, no time-of-day),
-//   2. workers collect results into per-worker accumulators (no locks, no
-//      contention-ordering effects), and
-//   3. the accumulators are reduced at join by sorting on
-//      (seed, config index) — a total order independent of scheduling.
+//      state, no shared RNG draws, no time-of-day), and
+//   2. each item's result lands in its own input-indexed slot, so results
+//      come back in submission order whatever the scheduling.
 // tests/parallel_runner_test.cc enforces this differentially, and a
 // ThreadSanitizer build of the same test runs in the tier-1 ctest pass.
 #pragma once
@@ -24,11 +23,11 @@
 #include <exception>
 #include <functional>
 #include <optional>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
-#include "harness/run_result.h"
 #include "obs/trace.h"
 #include "util/env.h"
 
@@ -95,74 +94,31 @@ auto parallel_map(const std::vector<Item>& items, Fn&& fn,
   return out;
 }
 
-/// Fans a grid of {seed, config} replications out over a pool of workers and
-/// merges the per-run results deterministically.
+/// Fans a grid of {seed, config} replications out over parallel_map and
+/// returns the results in submission order.
 ///
 /// Usage:
 ///   ParallelRunner<StressConfig, StressResult> runner(
 ///       [](const StressConfig& c) { return run_stress(c); });
 ///   for (...) runner.add(cfg.seed, cfg);
-///   auto rows = runner.run();              // sorted on (seed, config index)
-///   auto ordered = runner.run_in_grid_order();  // submission order
+///   auto rows = runner.run_in_grid_order();
 template <typename Config, typename Value>
 class ParallelRunner {
  public:
   using RunFn = std::function<Value(const Config&)>;
 
   explicit ParallelRunner(RunFn fn, unsigned jobs = bench_jobs())
-      : fn_(std::move(fn)), jobs_(jobs < 1 ? 1 : jobs) {}
+      : fn_(std::move(fn)), jobs_(jobs) {}
 
-  /// Adds one replication. Returns its config index (grid position), the
-  /// tie-breaker of the merge order.
-  std::size_t add(std::uint64_t seed, Config cfg) {
-    grid_.push_back(Cell{RunKey{seed, grid_.size()}, std::move(cfg)});
-    return grid_.size() - 1;
-  }
-
-  std::size_t size() const { return grid_.size(); }
-  unsigned jobs() const { return jobs_; }
-
-  /// Runs every cell and returns the merged results sorted on
-  /// (seed, config index). Deterministic for any worker count.
-  std::vector<RunResult<Value>> run() {
-    auto merged = run_cells();
-    std::sort(merged.begin(), merged.end(),
-              [](const RunResult<Value>& a, const RunResult<Value>& b) {
-                return a.key < b.key;
-              });
-    return merged;
+  /// Adds one replication at the next grid position. The seed only labels
+  /// the cell's trace sink.
+  void add(std::uint64_t seed, Config cfg) {
+    grid_.push_back(Cell{seed, std::move(cfg)});
   }
 
   /// Runs every cell and returns results in submission order — what a serial
-  /// `for` loop over the same grid would have produced, for printing rows in
-  /// the paper's table order. Equally deterministic: both orders are total
-  /// and scheduling-independent.
+  /// `for` loop over the same grid would have produced, for any worker count.
   std::vector<Value> run_in_grid_order() {
-    auto merged = run_cells();
-    std::sort(merged.begin(), merged.end(),
-              [](const RunResult<Value>& a, const RunResult<Value>& b) {
-                return a.key.config_index < b.key.config_index;
-              });
-    std::vector<Value> out;
-    out.reserve(merged.size());
-    for (auto& r : merged) out.push_back(std::move(r.value));
-    return out;
-  }
-
- private:
-  struct Cell {
-    RunKey key;
-    Config cfg;
-  };
-
-  // Per-worker accumulator: collects this worker's finished runs without any
-  // synchronization; reduced (concatenated) after join.
-  std::vector<RunResult<Value>> run_cells() {
-    const unsigned workers = static_cast<unsigned>(
-        std::min<std::size_t>(jobs_, grid_.size()));
-    std::vector<std::vector<RunResult<Value>>> acc(
-        workers > 1 ? workers : 1);
-
     // Per-cell trace sinks, when a bench installed a TraceCollector. All
     // sinks are allocated here on the main thread, before any worker spawns
     // and in grid-submission order, so the exported trace is byte-identical
@@ -174,57 +130,27 @@ class ParallelRunner {
     std::vector<obs::TraceSink*> sinks;
     if (obs::TraceCollector* col = obs::TraceCollector::active()) {
       sinks.reserve(grid_.size());
-      for (const Cell& c : grid_) {
-        sinks.push_back(
-            col->make_sink("cell " + std::to_string(c.key.config_index) +
-                           " seed=" + std::to_string(c.key.seed)));
-      }
-    }
-    auto run_one = [&](std::size_t i) {
-      if (!sinks.empty()) {
-        obs::SinkScope scope(sinks[i]);
-        return fn_(grid_[i].cfg);
-      }
-      return fn_(grid_[i].cfg);
-    };
-
-    if (workers <= 1) {
-      acc[0].reserve(grid_.size());
       for (std::size_t i = 0; i < grid_.size(); ++i) {
-        acc[0].push_back(RunResult<Value>{grid_[i].key, run_one(i)});
-      }
-    } else {
-      std::atomic<std::size_t> next{0};
-      std::vector<std::exception_ptr> errors(workers);
-      std::vector<std::thread> pool;
-      pool.reserve(workers);
-      for (unsigned w = 0; w < workers; ++w) {
-        pool.emplace_back([&, w] {
-          try {
-            for (;;) {
-              const std::size_t i =
-                  next.fetch_add(1, std::memory_order_relaxed);
-              if (i >= grid_.size()) return;
-              acc[w].push_back(RunResult<Value>{grid_[i].key, run_one(i)});
-            }
-          } catch (...) {
-            errors[w] = std::current_exception();
-          }
-        });
-      }
-      for (auto& t : pool) t.join();
-      for (auto& e : errors) {
-        if (e) std::rethrow_exception(e);
+        sinks.push_back(col->make_sink("cell " + std::to_string(i) +
+                                       " seed=" +
+                                       std::to_string(grid_[i].seed)));
       }
     }
-
-    std::vector<RunResult<Value>> merged;
-    merged.reserve(grid_.size());
-    for (auto& a : acc) {
-      for (auto& r : a) merged.push_back(std::move(r));
-    }
-    return merged;
+    return parallel_map(
+        grid_,
+        [&](const Cell& c, std::size_t i) {
+          if (sinks.empty()) return fn_(c.cfg);
+          obs::SinkScope scope(sinks[i]);
+          return fn_(c.cfg);
+        },
+        jobs_);
   }
+
+ private:
+  struct Cell {
+    std::uint64_t seed;
+    Config cfg;
+  };
 
   RunFn fn_;
   unsigned jobs_;

@@ -197,26 +197,11 @@ StressResult run_stress_with_config(const StressConfig& cfg) {
   return res;
 }
 
-namespace {
-
-std::vector<StressResult> run_grid_with(
-    const std::vector<StressConfig>& cfgs,
-    StressResult (*runner)(const StressConfig&)) {
+std::vector<StressResult> run_stress_grid(const std::vector<StressConfig>& cfgs) {
   ParallelRunner<StressConfig, StressResult> pool(
-      [runner](const StressConfig& c) { return runner(c); });
+      [](const StressConfig& c) { return run_stress(c); });
   for (const StressConfig& c : cfgs) pool.add(c.seed, c);
   return pool.run_in_grid_order();
-}
-
-}  // namespace
-
-std::vector<StressResult> run_stress_grid(const std::vector<StressConfig>& cfgs) {
-  return run_grid_with(cfgs, &run_stress);
-}
-
-std::vector<StressResult> run_stress_with_config_grid(
-    const std::vector<StressConfig>& cfgs) {
-  return run_grid_with(cfgs, &run_stress_with_config);
 }
 
 }  // namespace lgsim::harness

@@ -78,8 +78,4 @@ StressResult run_stress_with_config(const StressConfig& cfg);
 /// byte-identical to calling run_stress serially, for any worker count.
 std::vector<StressResult> run_stress_grid(const std::vector<StressConfig>& cfgs);
 
-/// Grid variant of run_stress_with_config (no per-rate tuning).
-std::vector<StressResult> run_stress_with_config_grid(
-    const std::vector<StressConfig>& cfgs);
-
 }  // namespace lgsim::harness

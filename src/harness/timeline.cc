@@ -1,5 +1,6 @@
 #include "harness/timeline.h"
 
+#include <algorithm>
 #include <memory>
 
 #include "net/loss_model.h"
@@ -8,27 +9,6 @@
 #include "transport/tcp.h"
 
 namespace lgsim::harness {
-
-namespace {
-
-/// Loss model that can be switched on mid-run (the VOA being engaged).
-/// Gilbert-Elliott burstiness per the paper's 25G observation (§4.1).
-class SwitchableLoss final : public net::LossModel {
- public:
-  SwitchableLoss(double rate, double mean_burst, Rng rng)
-      : inner_(net::GilbertElliottLoss::for_rate(rate, std::max(1.0, mean_burst)),
-               rng) {}
-  bool lose(SimTime now, const net::Packet& p) override {
-    return active_ && inner_.lose(now, p);
-  }
-  void activate() { active_ = true; }
-
- private:
-  net::GilbertElliottLoss inner_;
-  bool active_ = false;
-};
-
-}  // namespace
 
 TimelineResult run_timeline(const TimelineConfig& cfg) {
   Simulator sim;
@@ -53,10 +33,6 @@ TimelineResult run_timeline(const TimelineConfig& cfg) {
   }
 
   transport::TestbedPath path(sim, pc);
-  auto loss_owned = std::make_unique<SwitchableLoss>(cfg.loss_rate, cfg.mean_burst,
-                                                     Rng(cfg.seed));
-  SwitchableLoss* loss = loss_owned.get();
-  path.link().set_loss_model(std::move(loss_owned));
 
   transport::TcpConfig tcfg;
   switch (cfg.transport) {
@@ -89,7 +65,15 @@ TimelineResult run_timeline(const TimelineConfig& cfg) {
   // Effectively infinite iperf flow.
   snd.start(1'000'000'000'000LL);
 
-  sim.schedule_at(cfg.t_corruption, [&] { loss->activate(); });
+  // The VOA engages at t_corruption: no loss model (and so no RNG draw)
+  // before it. Gilbert-Elliott burstiness per the paper's 25G observation
+  // (§4.1).
+  sim.schedule_at(cfg.t_corruption, [&] {
+    path.link().set_loss_model(std::make_unique<net::GilbertElliottLoss>(
+        net::GilbertElliottLoss::for_rate(cfg.loss_rate,
+                                          std::max(1.0, cfg.mean_burst)),
+        Rng(cfg.seed)));
+  });
   if (cfg.enable_lg) {
     sim.schedule_at(cfg.t_lg, [&] { path.link().enable_lg(); });
   }

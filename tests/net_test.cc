@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <vector>
 
 #include "net/loss_model.h"
@@ -147,27 +146,6 @@ TEST(EgressPort, QueueCountersConserve) {
   EXPECT_EQ(m.counter("port.p.delivered_frames"), 2);
 }
 
-TEST(EgressPort, ReplenishCountsAsEnqueueForConservation) {
-  Simulator sim;
-  EgressPort port(sim, "p", gbps(100), 0);
-  const int fill = port.add_queue();
-  int generated = 0;
-  port.set_replenish(fill, [&]() -> std::optional<Packet> {
-    if (generated >= 3) return std::nullopt;
-    ++generated;
-    return make_control(PktKind::kLgDummy);
-  });
-  Collector sink;
-  port.set_deliver(sink.fn(sim));
-  port.enqueue(fill, make_control(PktKind::kLgDummy));
-  sim.run();
-  const EgressPort::QueueCounters& c = port.queue_counters(fill);
-  EXPECT_EQ(c.enq_frames, 4);  // 1 seeded + 3 self-replenished
-  EXPECT_EQ(c.enq_frames,
-            c.deq_frames + static_cast<std::int64_t>(port.queue_frames(fill)));
-  EXPECT_EQ(c.enq_bytes, c.deq_bytes + port.queue_bytes(fill));
-}
-
 TEST(EgressPort, PauseHoldsQueueAndResumeReleases) {
   Simulator sim;
   EgressPort port(sim, "p", gbps(10), 0);
@@ -203,27 +181,6 @@ TEST(EgressPort, EcnMarksAboveThreshold) {
   EXPECT_FALSE(sink.pkts[2].tcp.ce);
   EXPECT_TRUE(sink.pkts[3].tcp.ce);
   EXPECT_EQ(port.queue_counters(q).ecn_marked, 1);
-}
-
-TEST(EgressPort, ReplenishKeepsQueueFedUntilGeneratorDeclines) {
-  Simulator sim;
-  EgressPort port(sim, "p", gbps(100), 0);
-  const int normal = port.add_queue();
-  const int fill = port.add_queue();
-  int generated = 0;
-  port.set_replenish(fill, [&]() -> std::optional<Packet> {
-    if (generated >= 3) return std::nullopt;
-    ++generated;
-    return make_control(PktKind::kLgDummy);
-  });
-  Collector sink;
-  port.set_deliver(sink.fn(sim));
-  port.enqueue(fill, make_control(PktKind::kLgDummy));
-  sim.run();
-  // 1 seed + 3 generated.
-  EXPECT_EQ(sink.pkts.size(), 4u);
-  EXPECT_EQ(port.queue_frames(fill), 0u);
-  (void)normal;
 }
 
 TEST(EgressPort, TransmitHookCanMutate) {
@@ -296,20 +253,6 @@ TEST(GilbertElliottLoss, RateAndBurstiness) {
   // Single losses dominate; bursts beyond 5 are very rare (Fig. 20 shape).
   EXPECT_GT(burst_hist.cdf_at(1), 0.6);
   EXPECT_GT(burst_hist.cdf_at(5), 0.995);
-}
-
-TEST(FilteredLoss, ExemptsFilteredKinds) {
-  auto inner = std::make_unique<ScriptedLoss>(std::vector<std::uint64_t>{0, 1, 2});
-  FilteredLoss loss(std::move(inner),
-                    [](const Packet& p) { return p.kind == PktKind::kData; });
-  Packet ctrl = make_control(PktKind::kPfcPause);
-  Packet data;
-  data.kind = PktKind::kData;
-  EXPECT_FALSE(loss.lose(0, ctrl));  // not even counted by inner
-  EXPECT_TRUE(loss.lose(0, data));
-  EXPECT_TRUE(loss.lose(0, data));
-  EXPECT_TRUE(loss.lose(0, data));
-  EXPECT_FALSE(loss.lose(0, data));
 }
 
 TEST(PipelineDelay, AddsFixedLatency) {

@@ -47,25 +47,13 @@ TEST(ParallelMap, SingleWorkerMatchesMultiWorker) {
   EXPECT_EQ(serial, parallel);
 }
 
-TEST(ParallelRunner, SortsMergedResultsOnSeedThenConfigIndex) {
-  // Seeds deliberately submitted out of order; run() must sort on
-  // (seed, config index) while run_in_grid_order() restores submission order.
+TEST(ParallelRunner, ReturnsResultsInSubmissionOrder) {
+  // Seeds deliberately submitted out of order and with a duplicate: the seed
+  // labels a cell, it never reorders the results.
   ParallelRunner<std::uint64_t, std::uint64_t> runner(
       [](const std::uint64_t& s) { return s * 10; }, 4);
   const std::uint64_t seeds[] = {5, 1, 3, 1, 2};
   for (std::uint64_t s : seeds) runner.add(s, s);
-
-  const auto sorted = runner.run();
-  ASSERT_EQ(sorted.size(), 5u);
-  for (std::size_t i = 1; i < sorted.size(); ++i) {
-    EXPECT_TRUE(sorted[i - 1].key < sorted[i].key ||
-                sorted[i - 1].key == sorted[i].key);
-  }
-  // Duplicate seed 1 appears twice, ordered by config index.
-  EXPECT_EQ(sorted[0].key.seed, 1u);
-  EXPECT_EQ(sorted[0].key.config_index, 1u);
-  EXPECT_EQ(sorted[1].key.seed, 1u);
-  EXPECT_EQ(sorted[1].key.config_index, 3u);
 
   const auto in_order = runner.run_in_grid_order();
   ASSERT_EQ(in_order.size(), 5u);
@@ -97,7 +85,7 @@ TEST(ParallelRunner, ExceptionInWorkerPropagates) {
       },
       4);
   for (int i = 0; i < 32; ++i) runner.add(static_cast<std::uint64_t>(i), i);
-  EXPECT_THROW(runner.run(), std::runtime_error);
+  EXPECT_THROW(runner.run_in_grid_order(), std::runtime_error);
 }
 
 TEST(BenchJobs, EnvOverridesAndRejectsGarbage) {
@@ -163,7 +151,7 @@ TEST(ParallelDifferential, StressRowsIdenticalAcrossWorkerCounts) {
   const auto parallel = run_stress_rows(4);
   EXPECT_EQ(serial, parallel);
   // Second parallel run: catches scheduling nondeterminism (e.g. results
-  // merged in completion order instead of key order).
+  // returned in completion order instead of submission order).
   const auto parallel2 = run_stress_rows(4);
   EXPECT_EQ(parallel, parallel2);
 }
