@@ -80,15 +80,6 @@ CorruptionEvent CorruptionStream::pop() {
   return ev;
 }
 
-std::vector<CorruptionEvent> generate_trace(std::int64_t n_links,
-                                            double duration_hours,
-                                            double mttf_hours, Rng& rng) {
-  CorruptionStream stream(n_links, duration_hours, mttf_hours, rng);
-  std::vector<CorruptionEvent> trace;
-  while (!stream.done()) trace.push_back(stream.pop());
-  return trace;
-}
-
 double lg_effective_speed(double loss_rate) {
   // Fig. 8, ordered LinkGuardian on a 100G link: ~99.9% at 1e-5, ~99.5% at
   // 1e-4, ~92% at 1e-3; extrapolate mildly beyond.

@@ -87,12 +87,6 @@ class CorruptionStream {
   std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
 };
 
-/// Generates the corruption trace of Appendix D for a topology of n links by
-/// draining a CorruptionStream: identical events, (time, link)-sorted.
-std::vector<CorruptionEvent> generate_trace(std::int64_t n_links,
-                                            double duration_hours,
-                                            double mttf_hours, Rng& rng);
-
 struct DeploymentConfig {
   fabric::TopologyConfig topo;
   double capacity_constraint = 0.75;  // least-paths-per-ToR floor

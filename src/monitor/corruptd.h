@@ -63,7 +63,6 @@ class PubSubBus {
 
   /// Fault injection: additional latency on top of the hop delay.
   void set_extra_delay(SimTime d) { extra_delay_ = d; }
-  SimTime extra_delay() const { return extra_delay_; }
 
   /// Fault injection: while true, published notifications are dropped.
   void set_drop(bool drop) { drop_ = drop; }
@@ -182,7 +181,6 @@ class Corruptd {
   /// stall clears, the next successful poll reads the cumulative counters,
   /// so the whole blind window arrives as one large delta.
   void set_counter_stall(bool stalled) { stalled_ = stalled; }
-  bool counter_stalled() const { return stalled_; }
 
  private:
   struct Window {

@@ -8,9 +8,7 @@
 // to ~5 in a row even at unreasonably high loss rates).
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
-#include <vector>
 
 #include "net/packet.h"
 #include "sim/random.h"
@@ -149,36 +147,6 @@ class GilbertElliottLoss final : public DrivableLoss {
   Params params_;
   Rng rng_;
   bool bad_ = false;
-};
-
-/// Drops the frames whose (0-based) index on the link appears in `indices`.
-/// Deterministic; used by protocol unit tests to script exact loss patterns.
-/// Indices are sorted once at construction; since the frame counter is
-/// monotone, a cursor over the sorted list answers each frame in O(1)
-/// amortized (the seed implementation rescanned the whole list per frame).
-class ScriptedLoss final : public LossModel {
- public:
-  explicit ScriptedLoss(std::vector<std::uint64_t> indices)
-      : indices_(std::move(indices)) {
-    std::sort(indices_.begin(), indices_.end());
-  }
-
-  bool lose(SimTime, const Packet&) override {
-    const std::uint64_t i = next_++;
-    while (cursor_ < indices_.size() && indices_[cursor_] < i) ++cursor_;
-    if (cursor_ < indices_.size() && indices_[cursor_] == i) {
-      ++cursor_;
-      return true;
-    }
-    return false;
-  }
-
-  std::uint64_t frames_seen() const { return next_; }
-
- private:
-  std::vector<std::uint64_t> indices_;
-  std::size_t cursor_ = 0;
-  std::uint64_t next_ = 0;
 };
 
 }  // namespace lgsim::net

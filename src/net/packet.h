@@ -92,23 +92,6 @@ struct ProbeHeader {
   SimTime sent_at = 0;
 };
 
-/// RIFL link-layer reliability header (src/rifl): 16-bit frame sequence
-/// number plus the original/retransmission flag. The sequence space is far
-/// wider than the retransmission window, so 16 bits resolve unambiguously.
-struct RiflHeader {
-  bool valid = false;
-  std::uint16_t seq = 0;
-  bool retransmitted = false;
-};
-
-/// P4-Protect-style 1+1 duplication header (src/protect): 16-bit tunnel
-/// sequence number stamped at the replication point, consumed by the merge
-/// point's dedup filter.
-struct DupHeader {
-  bool valid = false;
-  std::uint16_t seq = 0;
-};
-
 /// LinkGuardian loss notification (§A.1): the missing range plus the
 /// receiver's latestRxSeqNo so the sender can update its copy.
 struct LgLossNotifHeader {
@@ -135,8 +118,6 @@ struct Packet {
   RdmaHeader rdma;
   PfcHeader pfc;
   ProbeHeader probe;
-  RiflHeader rifl;
-  DupHeader dup;
 
   /// Shadow 64-bit sequence number used only by tests/assertions to validate
   /// the 16-bit + era wire arithmetic; protocol logic never reads it.

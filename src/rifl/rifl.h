@@ -22,26 +22,16 @@
 //     practical BER; a Gilbert-Elliott burst outliving the retry budget is
 //     the realistic way to beat it).
 //
-// Two fidelity levels, differentially tested against each other:
-//   * RiflLink — packet-level: real sequence numbers, a bounded
-//     retransmission buffer, NACK-on-gap plus ACK-timeout retry discipline,
-//     in-order release with head-of-line blocking, give-up-and-skip after
-//     max_tx attempts.
-//   * RiflLossModel — the same retry discipline collapsed to a loss
-//     process, for driving a TestbedPath at goodput-sweep scale.
+// The model here is that retry discipline collapsed to a loss process
+// (RiflLossModel), for driving a TestbedPath at goodput-sweep scale.
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <memory>
 
 #include "net/loss_model.h"
 #include "net/packet.h"
-#include "net/packet_pool.h"
-#include "net/port.h"
 #include "net/protection.h"
-#include "sim/simulator.h"
 #include "util/units.h"
 
 namespace lgsim::rifl {
@@ -57,112 +47,12 @@ struct RiflParams {
   int max_tx = 16;
   /// One-way TX+RX framing pipeline latency added to every frame.
   SimTime framing_latency = nsec(110);
-  /// Latency of the reverse control lane (ACK/NACK hop back to the sender).
-  SimTime ctrl_delay = nsec(200);
-  /// Tail-loss retransmission timer: re-send an unacknowledged frame this
-  /// long after its last transmission.
-  SimTime ack_timeout = usec(2);
-  /// Retransmission-buffer budget in frames (BDP-sized in the paper).
-  std::int64_t tx_window = 4096;
 
   /// Payload fraction of the wire rate.
   double efficiency() const {
     return static_cast<double>(frame_bits - meta_bits) /
            static_cast<double>(frame_bits);
   }
-};
-
-struct RiflCounters {
-  std::int64_t offered = 0;    // frames entered at the sender
-  std::int64_t delivered = 0;  // frames released in order at the receiver
-  std::int64_t failed = 0;     // frames given up after max_tx attempts
-  std::int64_t data_tx = 0;    // first transmissions onto the wire
-  std::int64_t retx_tx = 0;    // retransmissions onto the wire
-  std::int64_t dup_rx = 0;     // duplicate arrivals dropped by the receiver
-  std::int64_t nacks = 0;      // gap notifications sent by the receiver
-  std::int64_t skips = 0;      // give-up notices sent to the receiver
-};
-
-/// One direction of a RIFL hop: sender retransmission buffer, the corrupting
-/// wire (an EgressPort running at efficiency() x line rate, so metadata and
-/// retransmissions consume real capacity), and the receiver's in-order
-/// release logic. The reverse ACK/NACK lane is modelled as a fixed-latency
-/// control channel (reverse-direction corruption is handled symmetrically by
-/// RIFL itself and is out of scope here, matching the paper's unidirectional
-/// evaluation).
-class RiflLink {
- public:
-  using SinkFn = std::function<void(net::Packet&&)>;
-
-  RiflLink(Simulator& sim, RiflParams params, BitRate line_rate,
-           SimTime prop_delay);
-
-  /// Install the wire's raw corruption process (owned by the link).
-  void set_loss_model(std::unique_ptr<net::LossModel> m);
-  net::LossModel* loss_model() { return loss_.get(); }
-
-  /// Offer a frame for reliable transfer. Frames are delivered to the sink
-  /// exactly once and in offer order (unless given up after max_tx).
-  void send(net::Packet p);
-  void set_sink(SinkFn fn) { sink_ = std::move(fn); }
-
-  const RiflCounters& counters() const { return counters_; }
-  const RiflParams& params() const { return params_; }
-  /// Frames currently held in the retransmission buffer.
-  std::int64_t tx_buffered() const { return static_cast<std::int64_t>(buf_.size()); }
-
- private:
-  struct TxEntry {
-    net::Packet copy;
-    std::uint64_t true_seq = 0;
-    int tx_count = 0;
-    bool failed = false;  // gave up; waiting for cumulative release
-  };
-
-  // --- sender side ---
-  void transmit(TxEntry& e, bool retx);
-  void arm_timeout(std::uint64_t true_seq);
-  void drain_backlog();
-  TxEntry* find(std::uint64_t true_seq);
-  void on_ack(std::uint64_t cum_true_seq);          // receiver -> sender
-  void on_nack(std::uint64_t from, std::uint64_t to);  // missing [from, to)
-  void give_up(TxEntry& e);
-
-  // --- receiver side ---
-  void on_wire_arrival(net::Packet&& p);
-  void on_skip(std::uint64_t true_seq);             // sender -> receiver
-  void release_in_order();
-  void send_ctrl_ack();
-
-  Simulator& sim_;
-  RiflParams params_;
-  net::EgressPort wire_;
-  int retx_q_ = 0;
-  int data_q_ = 0;
-  std::unique_ptr<net::LossModel> loss_;
-  SinkFn sink_;
-
-  // Sender: retransmission buffer ordered by true sequence number, plus a
-  // backlog for frames offered while the buffer is at its window budget.
-  std::deque<TxEntry> buf_;
-  std::uint64_t buf_base_ = 0;  // true seq of buf_.front()
-  std::uint64_t next_seq_ = 0;
-  std::deque<net::Packet> backlog_;
-
-  // Receiver: next expected true seq and the out-of-order hold buffer
-  // (frame + arrival flag per slot ahead of rx_next_).
-  struct RxSlot {
-    bool present = false;
-    bool skipped = false;
-    net::Packet frame;
-  };
-  std::deque<RxSlot> rx_buf_;
-  std::uint64_t rx_next_ = 0;
-  std::uint64_t highest_nacked_ = 0;  // dedup gap notifications
-  bool ack_pending_ = false;          // coalesce cumulative ACKs
-  net::PacketPool out_pool_;          // frames in the release pipeline
-
-  RiflCounters counters_;
 };
 
 /// RIFL's retry discipline as a residual loss process: a frame survives if

@@ -90,7 +90,6 @@ class TcpSender {
   void on_ack(const net::Packet& ack);
 
   bool done() const { return done_; }
-  double cwnd_bytes() const { return cwnd_; }
   const TcpSenderStats& stats() const { return stats_; }
   std::uint32_t flow_id() const { return flow_id_; }
   /// Bytes not yet handed to the network for the first time.

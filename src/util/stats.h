@@ -28,25 +28,6 @@ class RunningStats {
   double variance() const { return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0; }
   double stddev() const { return std::sqrt(variance()); }
 
-  /// Folds another accumulator in, as if its samples had been added here
-  /// (Chan et al. parallel Welford update). Used to reduce per-worker
-  /// accumulators after a parallel replication sweep.
-  void merge(const RunningStats& o) {
-    if (o.n_ == 0) return;
-    if (n_ == 0) {
-      *this = o;
-      return;
-    }
-    const std::int64_t n = n_ + o.n_;
-    const double delta = o.mean_ - mean_;
-    m2_ += o.m2_ + delta * delta * static_cast<double>(n_) *
-                       static_cast<double>(o.n_) / static_cast<double>(n);
-    mean_ += delta * static_cast<double>(o.n_) / static_cast<double>(n);
-    min_ = std::min(min_, o.min_);
-    max_ = std::max(max_, o.max_);
-    n_ = n;
-  }
-
   void reset() { *this = RunningStats{}; }
 
  private:

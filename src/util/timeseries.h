@@ -1,7 +1,6 @@
 // Time-series recorder for timeline experiments (Figs. 9 and 21).
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -36,63 +35,10 @@ class TimeSeries {
     return n > 0 ? s / static_cast<double>(n) : 0.0;
   }
 
-  double max_in(SimTime from, SimTime to) const {
-    double m = 0.0;
-    for (const auto& x : samples_)
-      if (x.time >= from && x.time < to && x.value > m) m = x.value;
-    return m;
-  }
-
-  /// Folds another series in, keeping samples sorted by time (ties keep this
-  /// series' samples first — a stable, scheduling-independent order). Lets
-  /// per-worker timelines from a replication sweep be reduced at join.
-  void merge(const TimeSeries& o) {
-    samples_.insert(samples_.end(), o.samples_.begin(), o.samples_.end());
-    std::stable_sort(
-        samples_.begin(), samples_.end(),
-        [](const Sample& a, const Sample& b) { return a.time < b.time; });
-  }
-
   void reset() { samples_.clear(); }
 
  private:
   std::vector<Sample> samples_;
-};
-
-/// Turns a monotone byte counter into a rate time-series by windowed sampling.
-class RateMeter {
- public:
-  explicit RateMeter(SimTime window) : window_(window) {}
-
-  /// Accumulate `bytes` delivered at time `now`; emits one sample per window.
-  void on_bytes(SimTime now, std::int64_t bytes) {
-    if (window_start_ < 0) window_start_ = now;
-    while (now >= window_start_ + window_) {
-      flush_window();
-    }
-    bytes_in_window_ += bytes;
-  }
-
-  /// Close out any partial window (call at end of experiment).
-  void finish(SimTime now) {
-    if (window_start_ >= 0 && now > window_start_) flush_window();
-  }
-
-  const TimeSeries& series() const { return series_; }
-
- private:
-  void flush_window() {
-    const double gbit_per_s =
-        static_cast<double>(bytes_in_window_) * 8.0 / static_cast<double>(window_);
-    series_.record(window_start_ + window_, gbit_per_s);  // Gbps since ns cancels
-    window_start_ += window_;
-    bytes_in_window_ = 0;
-  }
-
-  SimTime window_;
-  SimTime window_start_ = -1;
-  std::int64_t bytes_in_window_ = 0;
-  TimeSeries series_;
 };
 
 }  // namespace lgsim

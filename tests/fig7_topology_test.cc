@@ -1,86 +1,84 @@
-// Multi-hop integration test: the paper's Fig. 7 testbed topology built from
-// the Switch abstraction, with the corrupting (VOA) link between sw2 and sw6
-// spliced through LinkGuardian.
+// Multi-hop integration test: the paper's Fig. 7 testbed topology as a
+// linear chain of switch hops, with the corrupting (VOA) link between sw2
+// and sw6 carried by LinkGuardian.
 //
 //   h4 -> sw4 -> sw2 ==LG/VOA==> sw6 -> sw10 -> h8   (and the reverse path)
 //
-// Verifies that LinkGuardian is transparent to multi-hop forwarding: packets
-// cross three switches each way, the protected link recovers its losses,
-// ordering holds end to end, and the reverse path carries the piggybacked
-// ACK state through intermediate hops.
+// Each switch is its ingress pipeline (PipelineDelay) followed by one egress
+// port toward the next hop; at sw2 and sw6 the pipeline hands frames to the
+// ProtectedLink instead. Verifies that LinkGuardian is transparent to
+// multi-hop forwarding: packets cross three switches each way, the protected
+// link recovers its losses, ordering holds end to end, and the reverse path
+// carries the piggybacked ACK state through intermediate hops.
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "lg/link.h"
 #include "net/loss_model.h"
-#include "net/switch.h"
+#include "net/pipeline.h"
+#include "net/port.h"
 #include "sim/simulator.h"
 
 namespace lgsim {
 namespace {
 
-constexpr std::uint32_t kH4 = 4;
-constexpr std::uint32_t kH8 = 8;
+constexpr SimTime kPipelineLatency = nsec(400);
 
 struct Fig7 {
+  using Handler = std::function<void(net::Packet&&)>;
+
   Simulator sim;
-  net::Switch sw4{sim, "sw4"};
-  net::Switch sw2{sim, "sw2"};
-  net::Switch sw6{sim, "sw6"};
-  net::Switch sw10{sim, "sw10"};
+  BitRate rate;
+  std::deque<net::PipelineDelay> pipes;  // deque: stable element addresses
+  std::deque<net::EgressPort> ports;
   std::unique_ptr<lg::ProtectedLink> voa;  // the corrupting sw2->sw6 link
+  Handler sw4_in;   // h4's uplink
+  Handler sw10_in;  // h8's uplink
 
   std::vector<net::Packet> at_h8;
   std::vector<net::Packet> at_h4;
 
-  explicit Fig7(const lg::LgConfig& cfg, BitRate rate = gbps(100)) {
-    const net::Switch::PortCfg pc{.rate = rate};
-    // Forward path ports.
-    const int p_sw4_sw2 = sw4.add_port(pc);
-    const int p_sw2_sw6 = sw2.add_port(pc);   // spliced through LinkGuardian
-    const int p_sw6_sw10 = sw6.add_port(pc);
-    const int p_sw10_h8 = sw10.add_port(pc);
-    // Reverse path ports.
-    const int p_sw10_sw6 = sw10.add_port(pc);
-    const int p_sw6_sw2 = sw6.add_port(pc);   // reverse of the VOA link
-    const int p_sw2_sw4 = sw2.add_port(pc);
-    const int p_sw4_h4 = sw4.add_port(pc);
+  /// A switch's ingress pipeline, handing frames to `next`.
+  Handler pipeline_to(Handler next) {
+    net::PipelineDelay& pipe =
+        pipes.emplace_back(sim, kPipelineLatency, std::move(next));
+    return [&pipe](net::Packet&& p) { pipe.accept(std::move(p)); };
+  }
 
-    // Routing: traffic to h8 goes right, to h4 goes left.
-    sw4.add_route(kH8, p_sw4_sw2);
-    sw2.add_route(kH8, p_sw2_sw6);
-    sw6.add_route(kH8, p_sw6_sw10);
-    sw10.add_route(kH8, p_sw10_h8);
-    sw10.add_route(kH4, p_sw10_sw6);
-    sw6.add_route(kH4, p_sw6_sw2);
-    sw2.add_route(kH4, p_sw2_sw4);
-    sw4.add_route(kH4, p_sw4_h4);
+  /// A switch hop: the ingress pipeline, then an egress port whose fiber
+  /// ends at `next`.
+  Handler hop(const std::string& name, Handler next) {
+    net::EgressPort& port = ports.emplace_back(sim, name, rate, nsec(100));
+    const int q = port.add_queue({.byte_limit = 2'000'000});
+    port.set_deliver(std::move(next));
+    return pipeline_to(
+        [&port, q](net::Packet&& p) { port.enqueue(q, std::move(p)); });
+  }
 
-    // Wire the plain hops.
-    sw4.connect(p_sw4_sw2, sw2.ingress_fn());
-    sw6.connect(p_sw6_sw10, sw10.ingress_fn());
-    sw10.connect(p_sw10_h8, [this](net::Packet&& p) { at_h8.push_back(std::move(p)); });
-    sw10.connect(p_sw10_sw6, sw6.ingress_fn());
-    sw2.connect(p_sw2_sw4, sw4.ingress_fn());
-    sw4.connect(p_sw4_h4, [this](net::Packet&& p) { at_h4.push_back(std::move(p)); });
-
-    // Splice the protected link between sw2 and sw6: forwarding decisions
-    // toward those egress ports go through LinkGuardian instead.
+  explicit Fig7(const lg::LgConfig& cfg, BitRate link_rate = gbps(100))
+      : rate(link_rate) {
     lg::LinkSpec spec;
     spec.rate = rate;
     spec.name = "sw2-sw6(VOA)";
     voa = std::make_unique<lg::ProtectedLink>(sim, spec, cfg);
-    sw2.set_egress_override(p_sw2_sw6,
-                            [this](net::Packet&& p) { voa->send_forward(std::move(p)); });
-    sw6.set_egress_override(p_sw6_sw2,
-                            [this](net::Packet&& p) { voa->send_reverse(std::move(p)); });
-    voa->set_forward_sink(sw6.ingress_fn());
-    voa->set_reverse_sink(sw2.ingress_fn());
-    // The unused raw port objects for the spliced hops still exist, unused.
-    (void)p_sw2_sw6;
-    (void)p_sw6_sw2;
+
+    const Handler h8 = [this](net::Packet&& p) { at_h8.push_back(std::move(p)); };
+    const Handler h4 = [this](net::Packet&& p) { at_h4.push_back(std::move(p)); };
+    // Forward: sw4 -> sw2 ==LG==> sw6 -> sw10 -> h8.
+    sw4_in = hop("sw4-sw2", pipeline_to([this](net::Packet&& p) {
+                   voa->send_forward(std::move(p));
+                 }));
+    voa->set_forward_sink(hop("sw6-sw10", hop("sw10-h8", h8)));
+    // Reverse: sw10 -> sw6 ==LG==> sw2 -> sw4 -> h4.
+    sw10_in = hop("sw10-sw6", pipeline_to([this](net::Packet&& p) {
+                    voa->send_reverse(std::move(p));
+                  }));
+    voa->set_reverse_sink(hop("sw2-sw4", hop("sw4-h4", h4)));
   }
 
   // Injections are paced at the host line rate so the intermediate switch
@@ -92,10 +90,8 @@ struct Fig7 {
         net::Packet p;
         p.kind = net::PktKind::kData;
         p.frame_bytes = bytes;
-        p.src = kH4;
-        p.dst = kH8;
         p.uid = static_cast<std::uint64_t>(i + 1);
-        sw4.ingress(std::move(p));
+        sw4_in(std::move(p));
       });
     }
   }
@@ -107,10 +103,8 @@ struct Fig7 {
         net::Packet p;
         p.kind = net::PktKind::kData;
         p.frame_bytes = bytes;
-        p.src = kH8;
-        p.dst = kH4;
         p.uid = static_cast<std::uint64_t>(1000 + i);
-        sw10.ingress(std::move(p));
+        sw10_in(std::move(p));
       });
     }
   }
@@ -158,16 +152,6 @@ TEST(Fig7Topology, WithoutLgTheLossReachesTheEndpoints) {
   net.sim.run();
   EXPECT_LT(net.at_h8.size(), 20'000u);
   EXPECT_GT(net.at_h8.size(), 19'000u);  // ~1% gone
-}
-
-TEST(Fig7Topology, UnroutablePacketsAreCountedNotCrashed) {
-  lg::LgConfig cfg;
-  Fig7 net(cfg);
-  net::Packet p;
-  p.dst = 99;  // no route anywhere
-  net.sw4.ingress(std::move(p));
-  net.sim.run();
-  EXPECT_EQ(net.sw4.dropped_no_route(), 1);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include "lg/link.h"
 #include "net/loss_model.h"
 #include "sim/simulator.h"
+#include "support/scripted_loss.h"
 
 namespace lgsim::lg {
 namespace {

@@ -1,88 +1,16 @@
-// Tests for the Switch abstraction, the scripted loss cursor and mid-run
-// loss-model mutation through the port datapath.
+// Tests for the scripted loss fixture's cursor and mid-run loss-model
+// mutation through the port datapath.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "net/loss_model.h"
-#include "net/switch.h"
+#include "net/port.h"
 #include "sim/simulator.h"
+#include "support/scripted_loss.h"
 
 namespace lgsim {
 namespace {
-
-TEST(Switch, ForwardsByDestination) {
-  Simulator sim;
-  net::Switch sw(sim, "sw");
-  const int p0 = sw.add_port({});
-  const int p1 = sw.add_port({});
-  std::vector<std::uint32_t> out0, out1;
-  sw.connect(p0, [&](net::Packet&& p) { out0.push_back(p.dst); });
-  sw.connect(p1, [&](net::Packet&& p) { out1.push_back(p.dst); });
-  sw.add_route(10, p0);
-  sw.add_route(20, p1);
-  for (std::uint32_t d : {10u, 20u, 10u}) {
-    net::Packet p;
-    p.dst = d;
-    p.frame_bytes = 100;
-    sw.ingress(std::move(p));
-  }
-  sim.run();
-  EXPECT_EQ(out0, (std::vector<std::uint32_t>{10, 10}));
-  EXPECT_EQ(out1, (std::vector<std::uint32_t>{20}));
-  EXPECT_EQ(sw.rx_frames(), 3);
-}
-
-TEST(Switch, DefaultRouteAndDrops) {
-  Simulator sim;
-  net::Switch sw(sim, "sw");
-  const int p0 = sw.add_port({});
-  int fallback = 0;
-  sw.connect(p0, [&](net::Packet&&) { ++fallback; });
-  net::Packet p;
-  p.dst = 42;
-  sw.ingress(std::move(p));
-  sim.run();
-  EXPECT_EQ(sw.dropped_no_route(), 1);
-  sw.set_default_route(p0);
-  net::Packet q;
-  q.dst = 42;
-  q.frame_bytes = 64;
-  sw.ingress(std::move(q));
-  sim.run();
-  EXPECT_EQ(fallback, 1);
-}
-
-TEST(Switch, PipelineLatencyApplies) {
-  Simulator sim;
-  net::Switch sw(sim, "sw", nsec(500));
-  const int p0 = sw.add_port({.rate = gbps(100), .prop_delay = 0});
-  SimTime arrival = -1;
-  sw.connect(p0, [&](net::Packet&&) { arrival = sim.now(); });
-  sw.add_route(1, p0);
-  net::Packet p;
-  p.dst = 1;
-  p.frame_bytes = 64;
-  sw.ingress(std::move(p));
-  sim.run();
-  // 500 ns pipeline + 84 B at 100G (~6.7 ns).
-  EXPECT_GE(arrival, 506);
-  EXPECT_LE(arrival, 508);
-}
-
-TEST(Switch, EgressOverrideIntercepts) {
-  Simulator sim;
-  net::Switch sw(sim, "sw");
-  const int p0 = sw.add_port({});
-  int intercepted = 0;
-  sw.add_route(7, p0);
-  sw.set_egress_override(p0, [&](net::Packet&&) { ++intercepted; });
-  net::Packet p;
-  p.dst = 7;
-  sw.ingress(std::move(p));
-  sim.run();
-  EXPECT_EQ(intercepted, 1);
-}
 
 TEST(ScriptedLoss, CursorHandlesUnsortedAndDuplicateIndices) {
   // Construction sorts the script, and each frame advances the cursor in

@@ -9,6 +9,7 @@
 #include "obs/metrics.h"
 #include "sim/random.h"
 #include "sim/simulator.h"
+#include "support/scripted_loss.h"
 #include "util/stats.h"
 
 namespace lgsim::net {

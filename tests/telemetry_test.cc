@@ -27,9 +27,9 @@
 #include "fault/scenarios.h"
 #include "lg/link.h"
 #include "net/loss_model.h"
+#include "net/port.h"
 #include "sim/random.h"
 #include "sim/simulator.h"
-#include "telemetry/drops.h"
 #include "telemetry/estimator.h"
 #include "telemetry/probe.h"
 
@@ -378,14 +378,19 @@ TEST(DropAggregation, SeparatesCongestionFromWireLoss) {
     sim.schedule_at(usec(100) + i * usec(1), [&, q] { port.enqueue(q, frame()); });
   sim.run(msec(10));
 
-  const DropReport r = aggregate_drops(port);
-  EXPECT_GT(r.congestion_drops, 0);         // the burst tail
-  EXPECT_GT(r.wire_corrupted, 0);           // the Bernoulli losses
-  EXPECT_EQ(r.delivered, arrived);
-  EXPECT_EQ(r.enq_frames, 1100 - r.congestion_drops);
-  EXPECT_EQ(r.deq_frames, r.delivered + r.wire_corrupted);
-  EXPECT_EQ(r.in_flight(), 0);              // fully drained
-  EXPECT_NEAR(r.wire_loss_rate(), 0.5, 0.07);
+  // The port's one queue counts congestion (tail drops); the port counts
+  // what the wire did to the frames it sent.
+  const net::EgressPort::QueueCounters& qc = port.queue_counters(q);
+  const net::EgressPort::PortCounters& pc = port.counters();
+  EXPECT_GT(qc.drop_frames, 0);             // the burst tail
+  EXPECT_GT(pc.corrupted_frames, 0);        // the Bernoulli losses
+  EXPECT_EQ(pc.delivered_frames, arrived);
+  EXPECT_EQ(qc.enq_frames, 1100 - qc.drop_frames);
+  EXPECT_EQ(qc.deq_frames, pc.delivered_frames + pc.corrupted_frames);
+  EXPECT_EQ(qc.enq_frames, qc.deq_frames);  // fully drained
+  EXPECT_NEAR(static_cast<double>(pc.corrupted_frames) /
+                  static_cast<double>(qc.deq_frames),
+              0.5, 0.07);
 }
 
 // ------------------------------------------------- differential catalogue --

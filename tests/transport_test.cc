@@ -8,6 +8,7 @@
 #include <memory>
 
 #include "net/loss_model.h"
+#include "support/scripted_loss.h"
 #include "transport/path.h"
 #include "transport/rdma.h"
 #include "transport/tcp.h"

@@ -109,20 +109,7 @@ TEST(TimeSeries, WindowQueries) {
   ts.record(20, 3.0);
   ts.record(30, 5.0);
   EXPECT_DOUBLE_EQ(ts.mean_in(0, 25), 2.0);
-  EXPECT_DOUBLE_EQ(ts.max_in(0, 100), 5.0);
   EXPECT_DOUBLE_EQ(ts.mean_in(100, 200), 0.0);
-}
-
-TEST(RateMeter, ComputesGbps) {
-  RateMeter m(usec(1));
-  // 12500 bytes in 1 us at a steady clip = 100 Gbps.
-  m.on_bytes(0, 6250);
-  m.on_bytes(nsec(500), 6250);
-  m.on_bytes(usec(1), 1250);  // next window
-  m.finish(usec(2));
-  ASSERT_GE(m.series().size(), 2u);
-  EXPECT_DOUBLE_EQ(m.series().samples()[0].value, 100.0);
-  EXPECT_DOUBLE_EQ(m.series().samples()[1].value, 10.0);
 }
 
 TEST(EnvParse, PositiveDoubleAcceptsNormalValues) {
@@ -161,34 +148,6 @@ TEST(EnvParse, PositiveCount) {
   EXPECT_EQ(parse_positive_count("many", 4), 4u);
   EXPECT_EQ(parse_positive_count("7.5", 4), 4u);      // trailing junk
   EXPECT_EQ(parse_positive_count("999999", 4), 1024u);  // capped
-}
-
-TEST(RunningStats, MergeMatchesSingleAccumulator) {
-  RunningStats all, a, b;
-  for (int i = 1; i <= 10; ++i) {
-    all.add(i);
-    (i <= 4 ? a : b).add(i);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_DOUBLE_EQ(a.mean(), all.mean());
-  EXPECT_DOUBLE_EQ(a.min(), all.min());
-  EXPECT_DOUBLE_EQ(a.max(), all.max());
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-12);
-}
-
-TEST(RunningStats, MergeWithEmptySides) {
-  RunningStats a, empty;
-  a.add(1.0);
-  a.add(3.0);
-  a.merge(empty);  // no-op
-  EXPECT_EQ(a.count(), 2);
-  EXPECT_DOUBLE_EQ(a.mean(), 2.0);
-  RunningStats b;
-  b.merge(a);  // adopt
-  EXPECT_EQ(b.count(), 2);
-  EXPECT_DOUBLE_EQ(b.mean(), 2.0);
-  EXPECT_DOUBLE_EQ(b.min(), 1.0);
 }
 
 TEST(PercentileTracker, MergeIsOrderIndependent) {
@@ -236,22 +195,6 @@ TEST(CountHistogram, MergeSumsBins) {
   EXPECT_EQ(c.total(), 3);
   EXPECT_EQ(c.count_at(1), 1);
   EXPECT_EQ(c.max_value(), 7);
-}
-
-TEST(TimeSeries, MergeKeepsTimeOrder) {
-  TimeSeries a, b;
-  a.record(10, 1.0);
-  a.record(30, 3.0);
-  b.record(20, 2.0);
-  b.record(30, 4.0);
-  a.merge(b);
-  ASSERT_EQ(a.size(), 4u);
-  EXPECT_EQ(a.samples()[0].time, 10);
-  EXPECT_EQ(a.samples()[1].time, 20);
-  EXPECT_EQ(a.samples()[2].time, 30);
-  EXPECT_DOUBLE_EQ(a.samples()[2].value, 3.0);  // ties: this series first
-  EXPECT_DOUBLE_EQ(a.samples()[3].value, 4.0);
-  EXPECT_DOUBLE_EQ(a.mean_in(0, 25), 1.5);
 }
 
 TEST(TablePrinter, FormatsNumbers) {
